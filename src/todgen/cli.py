@@ -11,13 +11,19 @@ and writes its own, so expensive backend stages can be re-run independently:
     stats    -> stats.txt (+ CSV tables)
     split    -> split.json
     run-all  -> all of the above in order
+
+The per-dialog stages (contexts, plots, realize, qc) map one function of a
+dialog over all dialogs with ``runner.run_dialogs``, ``max_concurrency`` at a
+time, and write their checkpoint in dialog order once the map is done.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,6 +40,7 @@ from .persona import Persona, generate_pool, read_pool, write_pool
 from .plot import Plot, build_plot
 from .realizer import realize_dialog
 from .rng import derive_rng
+from .runner import run_dialogs
 from .sampler import DialogSpecimen, sample_specimen
 from .schema import SchemaSet, load_schema_set
 
@@ -87,6 +94,25 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
+@contextmanager
+def _checkpoint(path: Path):
+    """Yield a temp path beside ``path``; it replaces ``path`` only once the
+    caller has written it in full, so a crash never leaves a truncated
+    checkpoint that the next stage would accept."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_jsonl(path: Path, rows) -> None:
+    with _checkpoint(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
+        for row in rows:
+            f.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+
+
 def _common_options(fn):
     fn = click.option("--config", type=click.Path(), default=None,
                       help="YAML config file.")(fn)
@@ -117,7 +143,8 @@ def stage_personas(cfg: PipelineConfig) -> list:
     out = _outdir(cfg)
     llm = make_backend(cfg.user_backend)
     pool = generate_pool(cfg, llm)
-    write_pool(pool, out / "personas.jsonl")
+    with _checkpoint(out / "personas.jsonl") as tmp:
+        write_pool(pool, tmp)
     return pool
 
 
@@ -127,24 +154,24 @@ def stage_contexts(cfg: PipelineConfig) -> list:
     pool = read_pool(_require(out / "personas.jsonl", "personas"))
     schemas = _schemas(cfg)
     llm = make_backend(cfg.user_backend)
-    rows = []
-    with open(out / "contexts.jsonl", "w", encoding="utf-8") as f:
-        for i in range(cfg.dialog_count):
-            assign_rng = derive_rng(cfg.seed, "assign", i)
-            persona = pool[assign_rng.randrange(len(pool))]
-            now = sample_current_time(
-                derive_rng(cfg.seed, "clock", i), cfg.time_window
-            )
-            contexts = generate_contexts(
-                persona, schemas, now, llm, cfg, derive_rng(cfg.seed, "ctx", i)
-            )
-            row = {
-                "dialog_id": f"dlg-{i:05d}",
-                "persona_id": persona.id,
-                "contexts": [c.to_dict() for c in contexts.values()],
-            }
-            f.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
-            rows.append(row)
+
+    def context_row(i: int) -> dict:
+        assign_rng = derive_rng(cfg.seed, "assign", i)
+        persona = pool[assign_rng.randrange(len(pool))]
+        now = sample_current_time(
+            derive_rng(cfg.seed, "clock", i), cfg.time_window
+        )
+        contexts = generate_contexts(
+            persona, schemas, now, llm, cfg, derive_rng(cfg.seed, "ctx", i)
+        )
+        return {
+            "dialog_id": f"dlg-{i:05d}",
+            "persona_id": persona.id,
+            "contexts": [c.to_dict() for c in contexts.values()],
+        }
+
+    rows = run_dialogs(context_row, range(cfg.dialog_count), cfg.max_concurrency)
+    _write_jsonl(out / "contexts.jsonl", rows)
     return rows
 
 
@@ -163,28 +190,29 @@ def stage_plots(cfg: PipelineConfig) -> list:
     ctx_rows = _read_jsonl(_require(out / "contexts.jsonl", "contexts"))
     schemas = _schemas(cfg)
     llm = make_backend(cfg.user_backend)
-    rows = []
-    with open(out / "plots.jsonl", "w", encoding="utf-8") as f:
-        for i, ctx_row in enumerate(ctx_rows):
-            persona = pool[ctx_row["persona_id"]]
-            contexts = {
-                c["service_name"]: AppContext.from_dict(c)
-                for c in ctx_row["contexts"]
-            }
-            rng = derive_rng(cfg.seed, "dialog", i)
-            spec = sample_specimen(
-                rng, schemas, persona, contexts, llm, cfg,
-                dialog_id=ctx_row["dialog_id"],
-            )
-            plot = build_plot(spec, schemas, contexts, rng, llm, cfg)
-            row = {
-                "dialog_id": ctx_row["dialog_id"],
-                "persona_id": persona.id,
-                "specimen": spec.to_dict(),
-                "plot": plot.to_dict(),
-            }
-            f.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
-            rows.append(row)
+
+    def plot_row(i: int) -> dict:
+        ctx_row = ctx_rows[i]
+        persona = pool[ctx_row["persona_id"]]
+        contexts = {
+            c["service_name"]: AppContext.from_dict(c)
+            for c in ctx_row["contexts"]
+        }
+        rng = derive_rng(cfg.seed, "dialog", i)
+        spec = sample_specimen(
+            rng, schemas, persona, contexts, llm, cfg,
+            dialog_id=ctx_row["dialog_id"],
+        )
+        plot = build_plot(spec, schemas, contexts, rng, llm, cfg)
+        return {
+            "dialog_id": ctx_row["dialog_id"],
+            "persona_id": persona.id,
+            "specimen": spec.to_dict(),
+            "plot": plot.to_dict(),
+        }
+
+    rows = run_dialogs(plot_row, range(len(ctx_rows)), cfg.max_concurrency)
+    _write_jsonl(out / "plots.jsonl", rows)
     return rows
 
 
@@ -198,8 +226,8 @@ def stage_realize(cfg: PipelineConfig) -> list:
     plot_rows = _read_jsonl(_require(out / "plots.jsonl", "plots"))
     user_llm = make_backend(cfg.user_backend)
     system_llm = make_backend(cfg.system_backend)
-    dps = []
-    for row in plot_rows:
+
+    def datapoint(row: dict) -> Datapoint:
         plot = Plot.from_dict(row["plot"])
         persona = pool[row["persona_id"]]
         contexts = {
@@ -209,16 +237,17 @@ def stage_realize(cfg: PipelineConfig) -> list:
         record = realize_dialog(
             plot, persona, contexts, user_llm, system_llm, cfg
         )
-        dps.append(
-            Datapoint(
-                id=row["dialog_id"],
-                plot=plot,
-                dialog=record,
-                persona_id=persona.id,
-                contexts=contexts,
-            )
+        return Datapoint(
+            id=row["dialog_id"],
+            plot=plot,
+            dialog=record,
+            persona_id=persona.id,
+            contexts=contexts,
         )
-    write_dataset(dps, out / "dialogs.jsonl")
+
+    dps = run_dialogs(datapoint, plot_rows, cfg.max_concurrency)
+    with _checkpoint(out / "dialogs.jsonl") as tmp:
+        write_dataset(dps, tmp)
     return dps
 
 
@@ -227,13 +256,11 @@ def stage_qc(cfg: PipelineConfig) -> list:
     dps = read_dataset(_require(out / "dialogs.jsonl", "realize"))
     llm = make_backend(cfg.evaluator_backend)
     reports = qc_mod.run_qc(dps, llm, cfg)
-    with open(out / "qc_report.jsonl", "w", encoding="utf-8") as f:
-        for r in reports:
-            f.write(json.dumps(r.to_dict(), ensure_ascii=False, sort_keys=True))
-            f.write("\n")
+    _write_jsonl(out / "qc_report.jsonl", (r.to_dict() for r in reports))
     dropped = {r.datapoint_id for r in reports if r.disposition == "drop"}
     kept = [dp for dp in dps if dp.id not in dropped]
-    write_dataset(kept, out / "dataset.jsonl")
+    with _checkpoint(out / "dataset.jsonl") as tmp:
+        write_dataset(kept, tmp)
     return reports
 
 
@@ -248,11 +275,12 @@ def _dataset_for_reporting(cfg: PipelineConfig) -> list:
 def stage_stats(cfg: PipelineConfig) -> dict:
     out = _outdir(cfg)
     stats = compute_stats(_dataset_for_reporting(cfg))
-    (out / "stats.txt").write_text(stats_to_text(stats), encoding="utf-8")
+    with _checkpoint(out / "stats.txt") as tmp:
+        tmp.write_text(stats_to_text(stats), encoding="utf-8")
     for name in ("dialog_length_hist", "utterance_word_hist",
                  "service_coverage", "action_head_dist"):
-        with open(out / f"stats_{name}.csv", "w", newline="",
-                  encoding="utf-8") as f:
+        with _checkpoint(out / f"stats_{name}.csv") as tmp, \
+                open(tmp, "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f)
             writer.writerow(["key", "count"])
             for k, v in stats[name].items():
@@ -266,10 +294,11 @@ def stage_split(cfg: PipelineConfig) -> dataset_mod.SplitManifest:
     manifest = split_corpus(
         dps, cfg.held_out_service, cfg.test_fraction, cfg.seed
     )
-    (out / "split.json").write_text(
-        json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    with _checkpoint(out / "split.json") as tmp:
+        tmp.write_text(
+            json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
     return manifest
 
 

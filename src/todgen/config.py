@@ -101,7 +101,7 @@ class PipelineConfig:
     user_backend: BackendConfig = BackendConfig(kind="mock")
     system_backend: BackendConfig = BackendConfig(kind="mock")
     evaluator_backend: BackendConfig = BackendConfig(kind="mock")
-    max_concurrency: int = 4
+    max_concurrency: int = 4  # dialogs in flight per stage (see runner.py)
     temperature: float = 0.7
     max_tokens: int = 512
     content_retries: int = 3
@@ -128,6 +128,10 @@ class PipelineConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
+        if self.max_concurrency < 1:
+            raise ConfigError(
+                f"max_concurrency must be at least 1, got {self.max_concurrency}"
+            )
 
     @property
     def schema_manifest_path(self) -> Path:

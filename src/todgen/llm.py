@@ -21,6 +21,8 @@ from typing import Callable, Optional
 
 import requests
 
+from .runner import waiting
+
 __all__ = [
     "CompletionRequest",
     "RetryPolicy",
@@ -90,18 +92,16 @@ class BackendConfig:
 
 
 class Backend:
-    """Base class handling audit logging, accounting, and concurrency cap."""
+    """Base class handling audit logging and accounting."""
 
-    def __init__(self, audit_log: Optional[str] = None, max_concurrency: int = 4):
+    def __init__(self, audit_log: Optional[str] = None):
         self._audit_log = audit_log
         self._lock = threading.Lock()
-        self._sem = threading.Semaphore(max_concurrency)
         self.call_counts: dict[str, int] = {}
         self.token_counts: dict[str, int] = {}
 
     def complete(self, req: CompletionRequest) -> str:
-        with self._sem:
-            text = self._complete(req)
+        text = self._complete(req)
         tokens = sum(len(c.split()) for _, c in req.messages) + len(text.split())
         with self._lock:
             self.call_counts[req.tag] = self.call_counts.get(req.tag, 0) + 1
@@ -141,33 +141,40 @@ class HttpBackend(Backend):
         }
         policy = self.config.retry
         last_error: Optional[Exception] = None
-        for attempt in range(1, policy.max_attempts + 1):
-            self.last_attempts = attempt
-            try:
-                resp = requests.post(
-                    self.config.endpoint,
-                    json=body,
-                    headers=headers,
-                    timeout=self.config.timeout,
-                )
-            except requests.Timeout as e:
-                last_error = BackendTimeout(str(e))
-            except requests.RequestException as e:
-                last_error = BackendError(str(e))
-            else:
-                if resp.status_code in (401, 403):
-                    raise AuthError(f"authentication failed ({resp.status_code})")
-                if resp.status_code >= 500:
-                    last_error = BackendError(f"server error {resp.status_code}")
-                elif resp.status_code != 200:
-                    raise BackendError(f"unexpected status {resp.status_code}")
+        attempt = 0
+        try:
+            for attempt in range(1, policy.max_attempts + 1):
+                try:
+                    with waiting():
+                        resp = requests.post(
+                            self.config.endpoint,
+                            json=body,
+                            headers=headers,
+                            timeout=self.config.timeout,
+                        )
+                except requests.Timeout as e:
+                    last_error = BackendTimeout(str(e))
+                except requests.RequestException as e:
+                    last_error = BackendError(str(e))
                 else:
-                    try:
-                        return resp.json()["choices"][0]["message"]["content"]
-                    except (ValueError, KeyError, IndexError) as e:
-                        raise BackendError(f"malformed response body: {e}") from e
-            if attempt < policy.max_attempts:
-                time.sleep(policy.backoff * attempt)
+                    if resp.status_code in (401, 403):
+                        raise AuthError(f"authentication failed ({resp.status_code})")
+                    if resp.status_code >= 500:
+                        last_error = BackendError(f"server error {resp.status_code}")
+                    elif resp.status_code != 200:
+                        raise BackendError(f"unexpected status {resp.status_code}")
+                    else:
+                        try:
+                            return resp.json()["choices"][0]["message"]["content"]
+                        except (ValueError, KeyError, IndexError) as e:
+                            raise BackendError(f"malformed response body: {e}") from e
+                if attempt < policy.max_attempts:
+                    with waiting():
+                        time.sleep(policy.backoff * attempt)
+        finally:
+            # set once per request, after the caller holds its turn again, so
+            # it is the caller's own count at any concurrency
+            self.last_attempts = attempt
         raise RetryExhaustedError(str(last_error), policy.max_attempts)
 
 
@@ -573,14 +580,9 @@ _MOCK_HANDLERS: dict[str, Callable] = {
 }
 
 
-def make_backend(config: BackendConfig, audit_log: Optional[str] = None,
-                 max_concurrency: int = 4) -> Backend:
+def make_backend(config: BackendConfig, audit_log: Optional[str] = None) -> Backend:
     if config.kind == "mock":
-        return MockBackend(
-            seed=config.seed, audit_log=audit_log, max_concurrency=max_concurrency
-        )
+        return MockBackend(seed=config.seed, audit_log=audit_log)
     if config.kind == "http":
-        return HttpBackend(
-            config, audit_log=audit_log, max_concurrency=max_concurrency
-        )
+        return HttpBackend(config, audit_log=audit_log)
     raise ValueError(f"unknown backend kind {config.kind!r}")

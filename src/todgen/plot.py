@@ -156,6 +156,7 @@ def query_database(
         f"conditions {json.dumps(input_values)}, return a JSON array of 5 "
         f"different records, each echoing the conditions and filling "
         f"{list(intent.result_slots)}."
+        + (f" Today is {today}." if today else "")
     )
     last_problem = ""
     for attempt in range(config.content_retries):

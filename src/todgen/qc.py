@@ -18,6 +18,7 @@ from .dataset import Datapoint
 from .llm import Backend, CompletionRequest
 from .mr import collect_literals, print_action
 from .realizer import StyledResponse, render_template
+from .runner import run_dialogs
 
 __all__ = [
     "QCReport",
@@ -220,9 +221,10 @@ def run_qc(
     config: PipelineConfig,
 ) -> list:
     """Full QC pass. Deterministic failures drop; evaluator disagreement (or
-    an unparseable evaluator) flags for review, never drops."""
-    reports = []
-    for dp in dps:
+    an unparseable evaluator) flags for review, never drops. Runs up to
+    ``config.max_concurrency`` datapoints at once; reports keep input order."""
+
+    def report(dp: Datapoint) -> QCReport:
         verdicts, details = {}, []
         v, d = check_unformatted(dp)
         verdicts["unformatted"] = v
@@ -244,12 +246,11 @@ def run_qc(
                 details.append(rationale)
         else:
             disposition = "keep"
-        reports.append(
-            QCReport(
-                datapoint_id=dp.id,
-                verdicts=verdicts,
-                details=details,
-                disposition=disposition,
-            )
+        return QCReport(
+            datapoint_id=dp.id,
+            verdicts=verdicts,
+            details=details,
+            disposition=disposition,
         )
-    return reports
+
+    return run_dialogs(report, dps, config.max_concurrency)

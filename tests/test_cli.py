@@ -48,6 +48,11 @@ class TestConfig:
         assert cfg.dialog_count == 3
         assert cfg.seed == 77
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_max_concurrency_below_one_rejected(self, value):
+        with pytest.raises(ConfigError, match="max_concurrency"):
+            PipelineConfig(max_concurrency=value)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("dialogue_count: 5\n")
@@ -76,6 +81,20 @@ class TestRunAll:
         for name in files_a:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
+
+    def test_byte_identical_across_max_concurrency(self, runner, workdir,
+                                                    tmp_path):
+        base = (workdir / "config.yaml").read_text()
+        for n in (1, 4):
+            config = tmp_path / f"c{n}.yaml"
+            config.write_text(base + f"max_concurrency: {n}\n")
+            run(runner, ["run-all", "--config", str(config),
+                         "--out", str(tmp_path / f"c{n}")])
+        names = sorted(p.name for p in (tmp_path / "c1").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "c4").iterdir())
+        for name in names:
+            assert (tmp_path / "c1" / name).read_bytes() == \
+                (tmp_path / "c4" / name).read_bytes(), name
 
     def test_seed_changes_output(self, runner, workdir, tmp_path):
         args = ["run-all", "--config", str(workdir / "config.yaml")]

@@ -7,7 +7,7 @@ import pytest
 
 from todgen.config import PipelineConfig
 from todgen.context import AppContext
-from todgen.llm import make_backend
+from todgen.llm import MockBackend, make_backend
 from todgen.mr import (
     Action,
     Arg,
@@ -440,6 +440,22 @@ class TestQueryDatabase:
             LLM, CFG,
         )
         assert all(str(r["showtime"]) == "19:00" for r in result.records)
+
+    def test_prompt_carries_today(self):
+        """The mock draws dates from ``today``, so a real model must see it
+        too; without it, equal prompts from different days get different
+        answers."""
+        prompts = []
+
+        class Recording(MockBackend):
+            def _complete(self, req):
+                prompts.append(req.messages[0][1])
+                return super()._complete(req)
+
+        intent = SCHEMAS.service("movie").intent("get_movie_time")
+        query_database("movie", intent, {"movie_name": "Joker"},
+                       Recording(seed=3), CFG, today="Mon 2026-12-28")
+        assert prompts and prompts[0].endswith(" Today is Mon 2026-12-28.")
 
     def test_rejects_non_query_intent(self):
         intent = SCHEMAS.service("alarms").intent("create")
