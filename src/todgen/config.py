@@ -132,6 +132,25 @@ class PipelineConfig:
             raise ConfigError(
                 f"max_concurrency must be at least 1, got {self.max_concurrency}"
             )
+        ranges = {"record_count_range": self.record_count_range}
+        ranges.update(
+            (f"record_count_overrides[{service!r}]", r)
+            for service, r in self.record_count_overrides.items()
+        )
+        # at least one record: the sampler gives context-requiring intents
+        # to every dialog and fails on an empty context
+        for name, r in ranges.items():
+            if not (isinstance(r, (tuple, list)) and len(r) == 2
+                    and all(isinstance(v, int) for v in r)
+                    and 1 <= r[0] <= r[1]):
+                raise ConfigError(
+                    f"{name} must be (lo, hi) with 1 <= lo <= hi, got {r}"
+                )
+        if self.services and self.held_out_service not in self.services:
+            raise ConfigError(
+                f"held_out_service {self.held_out_service!r} is not in the "
+                f"services subset {list(self.services)}"
+            )
 
     @property
     def schema_manifest_path(self) -> Path:

@@ -1,13 +1,13 @@
 """Persona-grounded app-context generation.
 
-Contexts are produced in a fixed dependency order (contacts first) so that
-generated contact names can be reused as message senders and event attendees.
+All of a dialog's contexts come from one completion. Services are listed and
+checked in a fixed dependency order (contacts first), so that the generated
+contact names can be reused as message senders and event attendees.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import json
 import random
 from dataclasses import dataclass, field
 
@@ -18,7 +18,7 @@ from .config import (
     PipelineConfig,
 )
 from .llm import Backend, CompletionRequest, format_date
-from .persona import Persona, _parse_json_object
+from .persona import Persona, PersonaError, _parse_json_object
 from .schema import SchemaSet
 
 __all__ = [
@@ -77,7 +77,7 @@ def context_services(schemas: SchemaSet) -> tuple[str, ...]:
     return tuple(s for s in CONTEXT_SERVICE_ORDER if schemas.has_service(s))
 
 
-def _validate_records(records, slots: tuple[str, ...], allowed_keys: set,
+def _validate_records(records, slots: list[str], allowed_keys: set,
                       count: int, names: list) -> str:
     if not isinstance(records, list) or len(records) != count:
         return f"expected {count} records"
@@ -105,100 +105,86 @@ def generate_contexts(
     config: PipelineConfig,
     rng: random.Random,
 ) -> dict[str, AppContext]:
-    """Generate one AppContext per context-bearing service in the set."""
+    """Generate one AppContext per context-bearing service in the set, all
+    from one completion that maps each service to its records."""
     today = format_date(now.date())
     clock = f"{now.hour:02d}:{now.minute:02d}"
-    contexts: dict[str, AppContext] = {}
-    contact_names: list[str] = []
-    for service in context_services(schemas):
+    services = context_services(schemas)
+    if not services:
+        return {}
+    batch, allowed_keys = [], {}
+    for service in services:
         svc = schemas.service(service)
-        record_slots = tuple(
-            s for s in CONTEXT_RECORD_SLOTS.get(service, ()) if svc.has_slot(s)
-        )
         lo, hi = config.record_count(service)
-        count = rng.randint(lo, hi)
-        names = contact_names if service in CONTACT_DEPENDENT else []
-        potential = {
-            s.name: list(s.potential_values) for s in svc.slots if s.potential_values
-        }
-        prompt = (
-            f"Generate {count} realistic {service} records as a JSON array of "
-            f"objects with keys {list(record_slots)} for this user. "
-            f"Persona: {persona.introduction} Today is {today}."
-            + (f" Known contacts: {names}." if names else "")
+        batch.append({
+            "service": service,
+            "record_slots": [
+                s for s in CONTEXT_RECORD_SLOTS.get(service, ()) if svc.has_slot(s)
+            ],
+            "count": rng.randint(lo, hi),
+            "potential_values": {
+                s.name: list(s.potential_values)
+                for s in svc.slots if s.potential_values
+            },
+        })
+        allowed_keys[service] = {s.name for s in svc.slots}
+    prompt = (
+        "Generate realistic app records for this user as one JSON object that "
+        "maps each service below to a JSON array of record objects.\n"
+        + "".join(
+            f"- {b['service']}: {b['count']} records with keys {b['record_slots']}\n"
+            for b in batch
         )
-        last_problem = ""
-        for attempt in range(config.content_retries):
-            completion = llm.complete(
-                CompletionRequest(
-                    messages=(("user", prompt),),
-                    tag="context",
-                    metadata={
-                        "service": service,
-                        "record_slots": list(record_slots),
-                        "count": count,
-                        "today": today,
-                        "contact_names": names,
-                        "potential_values": potential,
-                        "persona": persona.id,
-                        "attempt": attempt,
-                    },
-                )
-            )
-            try:
-                records = _parse_json_array(completion)
-            except ContextError as e:
-                last_problem = str(e)
-                continue
-            problem = _validate_records(
-                records, record_slots, {s.name for s in svc.slots}, count, names
-            )
-            if not problem:
-                break
-            last_problem = problem
-        else:
-            raise ContextError(
-                f"{service} context failed validation after "
-                f"{config.content_retries} attempts: {last_problem}"
-            )
-        contexts[service] = AppContext(
-            service_name=service, today=today, time=clock, records=records
+        + f"Persona: {persona.introduction} Today is {today}."
+        + (
+            " Every sender, attendees and recipient must be one of the "
+            "generated contact names."
+            if "contacts" in services
+            else ""
         )
-        if service == "contacts":
-            contact_names = [str(r.get("name", "")) for r in records]
-    return contexts
-
-
-def _parse_json_array(text: str) -> list:
-    start = text.find("[")
-    if start < 0:
-        # fall back to a single object
+    )
+    last_problem = ""
+    for attempt in range(config.content_retries):
+        completion = llm.complete(
+            CompletionRequest(
+                messages=(("user", prompt),),
+                # the per-request token budget once per service in the batch
+                max_tokens=config.max_tokens * len(batch),
+                tag="context",
+                metadata={
+                    "services": batch,
+                    "contact_dependent": [
+                        s for s in services if s in CONTACT_DEPENDENT
+                    ],
+                    "today": today,
+                    "attempt": attempt,
+                },
+            )
+        )
         try:
-            return [_parse_json_object(text)]
-        except Exception:
-            raise ContextError(f"no JSON array in completion: {text[:80]!r}")
-    depth = 0
-    in_string = False
-    escape = False
-    for i in range(start, len(text)):
-        ch = text[i]
-        if in_string:
-            if escape:
-                escape = False
-            elif ch == "\\":
-                escape = True
-            elif ch == '"':
-                in_string = False
+            obj = _parse_json_object(completion)
+        except PersonaError as e:
+            last_problem = str(e)
             continue
-        if ch == '"':
-            in_string = True
-        elif ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth == 0:
-                try:
-                    return json.loads(text[start:i + 1])
-                except json.JSONDecodeError as e:
-                    raise ContextError(f"invalid JSON array: {e}")
-    raise ContextError("unbalanced JSON array in completion")
+        contact_names: list[str] = []
+        for b in batch:
+            service = b["service"]
+            records = obj.get(service)
+            problem = _validate_records(
+                records, b["record_slots"], allowed_keys[service], b["count"],
+                contact_names if service in CONTACT_DEPENDENT else [],
+            )
+            if problem:
+                last_problem = f"{service}: {problem}"
+                break
+            if service == "contacts":
+                contact_names = [str(r.get("name", "")) for r in records]
+        else:
+            return {
+                s: AppContext(service_name=s, today=today, time=clock, records=obj[s])
+                for s in services
+            }
+    raise ContextError(
+        f"context failed validation after {config.content_retries} "
+        f"attempts: {last_problem}"
+    )

@@ -220,7 +220,6 @@ def compute_stats(dps: list) -> dict:
         for turn in dp.plot.turns:
             for action in turn.actions:
                 head_dist[action.head] += 1
-        system_index = 0
         for realized in dp.dialog.turns:
             if isinstance(realized, str):
                 word_hist[word_count(realized)] += 1
@@ -232,7 +231,6 @@ def compute_stats(dps: list) -> dict:
                     verbosity_words[level].append(
                         word_count(realized.variants[key])
                     )
-                system_index += 1
 
     n = len(dps) or 1
     n_system = sum(style_shares.values()) or 1

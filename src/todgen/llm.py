@@ -121,7 +121,8 @@ class Backend:
 
 
 class HttpBackend(Backend):
-    """Chat-completions HTTP client with bounded retry on transient failures."""
+    """Chat-completions HTTP client with bounded retry on transient failures
+    (connection errors, timeouts, 429 and 5xx)."""
 
     def __init__(self, config: BackendConfig, **kwargs):
         super().__init__(**kwargs)
@@ -144,6 +145,7 @@ class HttpBackend(Backend):
         attempt = 0
         try:
             for attempt in range(1, policy.max_attempts + 1):
+                delay = policy.backoff * attempt
                 try:
                     with waiting():
                         resp = requests.post(
@@ -159,7 +161,10 @@ class HttpBackend(Backend):
                 else:
                     if resp.status_code in (401, 403):
                         raise AuthError(f"authentication failed ({resp.status_code})")
-                    if resp.status_code >= 500:
+                    if resp.status_code == 429:
+                        last_error = BackendError("rate limited (429)")
+                        delay = _retry_after(resp.headers.get("Retry-After"), delay)
+                    elif resp.status_code >= 500:
                         last_error = BackendError(f"server error {resp.status_code}")
                     elif resp.status_code != 200:
                         raise BackendError(f"unexpected status {resp.status_code}")
@@ -170,12 +175,18 @@ class HttpBackend(Backend):
                             raise BackendError(f"malformed response body: {e}") from e
                 if attempt < policy.max_attempts:
                     with waiting():
-                        time.sleep(policy.backoff * attempt)
+                        time.sleep(delay)
         finally:
             # set once per request, after the caller holds its turn again, so
             # it is the caller's own count at any concurrency
             self.last_attempts = attempt
         raise RetryExhaustedError(str(last_error), policy.max_attempts)
+
+
+def _retry_after(header: Optional[str], default: float) -> float:
+    """Seconds to wait from a ``Retry-After`` header in its delay-seconds form;
+    ``default`` when the header is absent or an HTTP date."""
+    return float(header) if header and header.strip().isdigit() else default
 
 
 # ---------------------------------------------------------------------------
@@ -370,21 +381,30 @@ def _mock_persona_intro(rng, meta, req) -> str:
 
 
 def _mock_context(rng, meta, req) -> str:
+    """One JSON object mapping each service to its records, made in the order
+    given; services listed in ``contact_dependent`` draw person names from
+    the contacts made earlier in the same answer."""
     today = _parse_today(meta)
-    slots = meta.get("record_slots", [])
-    count = meta.get("count", 2)
-    names = meta.get("contact_names") or None
-    if names is None and meta.get("service") == "contacts":
-        names = _FIRST_NAMES
-    potential = meta.get("potential_values", {})
-    records = []
-    for _ in range(count):
-        record = {
-            slot: _mock_value(rng, slot, potential.get(slot, []), today, names)
-            for slot in slots
-        }
-        records.append(record)
-    return json.dumps(records, ensure_ascii=False)
+    dependent = set(meta.get("contact_dependent", []))
+    contact_names = None
+    out = {}
+    for spec in meta.get("services", []):
+        service = spec["service"]
+        if service == "contacts":
+            names = _FIRST_NAMES
+        else:
+            names = contact_names if service in dependent else None
+        potential = spec.get("potential_values", {})
+        out[service] = [
+            {
+                slot: _mock_value(rng, slot, potential.get(slot, []), today, names)
+                for slot in spec.get("record_slots", [])
+            }
+            for _ in range(spec.get("count", 2))
+        ]
+        if service == "contacts":
+            contact_names = [str(r.get("name", "")) for r in out[service]]
+    return json.dumps(out, ensure_ascii=False)
 
 
 def _mock_slot_values(rng, meta, req) -> str:

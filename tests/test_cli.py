@@ -53,6 +53,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="max_concurrency"):
             PipelineConfig(max_concurrency=value)
 
+    @pytest.mark.parametrize("overrides", [
+        {"record_count_range": (5, 1)},
+        {"record_count_range": (-1, 2)},
+        {"record_count_range": (0, 2)},
+        {"record_count_range": (1, 2, 3)},
+        {"record_count_overrides": {"alarms": (4, 1)}},
+        {"record_count_overrides": {"alarms": (-2, -1)}},
+    ])
+    def test_bad_record_count_range_rejected(self, overrides):
+        with pytest.raises(ConfigError, match="1 <= lo <= hi"):
+            PipelineConfig(**overrides)
+
+    def test_services_without_held_out_rejected(self):
+        with pytest.raises(ConfigError, match="held_out_service 'banking'"):
+            PipelineConfig(services=("alarms", "contacts", "messages"))
+        PipelineConfig(services=("alarms", "banking"))
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("dialogue_count: 5\n")
@@ -160,6 +177,20 @@ class TestOptions:
         result = runner.invoke(main, ["run-all", "--backend", "telepathy"])
         assert result.exit_code == 2
         assert "telepathy" in result.output
+
+    @pytest.mark.parametrize("args", [
+        ["--services", "alarms,contacts,messages"],
+        ["--config", "reversed.yaml"],
+    ])
+    def test_bad_config_fails_before_any_stage(self, runner, workdir, args):
+        (workdir / "reversed.yaml").write_text("record_count_range: [5, 1]\n")
+        args = [str(workdir / a) if a.endswith(".yaml") else a for a in args]
+        result = runner.invoke(main, ["run-all", "--out", str(workdir / "out"),
+                                      "--count", "3", *args])
+        assert result.exit_code == 1
+        payload = json.loads(result.output.strip().splitlines()[-1])
+        assert payload["error"] == "ConfigError"
+        assert not (workdir / "out").exists()
 
     def test_bad_config_fails_cleanly(self, runner, tmp_path):
         bad = tmp_path / "bad.yaml"

@@ -14,13 +14,12 @@ from todgen.config import (
 from todgen.context import (
     AppContext,
     ContextError,
-    _parse_json_array,
     context_services,
     generate_contexts,
     sample_current_time,
 )
-from todgen.llm import Backend, make_backend
-from todgen.persona import Persona
+from todgen.llm import Backend, MockBackend, make_backend
+from todgen.persona import Persona, PersonaError, _parse_json_object
 from todgen.rng import derive_rng
 from todgen.schema import load_schema_set
 
@@ -119,36 +118,36 @@ class TestGenerateContexts:
         class FlakyBackend(Backend):
             def __init__(self):
                 super().__init__()
-                self.attempts_by_service = {}
+                self.attempts = 0
 
             def _complete(self, req):
-                meta = req.metadata or {}
-                service = meta.get("service", "")
-                n = self.attempts_by_service.get(service, 0)
-                self.attempts_by_service[service] = n + 1
-                slots = meta.get("record_slots", [])
-                names = meta.get("contact_names") or ["Ana", "Ben"]
-                record = {}
-                for slot in slots:
-                    if slot in ("sender", "attendees", "recipient"):
-                        record[slot] = names[0]
-                    elif "time" in slot:
-                        record[slot] = "09:00"
-                    elif "date" in slot:
-                        record[slot] = "Thu 2025-04-17"
-                    else:
-                        record[slot] = f"{slot} value"
-                if n == 0:
-                    return json.dumps([record])  # wrong count on first try
-                return json.dumps([dict(record) for _ in range(meta["count"])])
+                self.attempts += 1
+                out = {}
+                for spec in req.metadata["services"]:
+                    record = {}
+                    for slot in spec["record_slots"]:
+                        if slot in ("sender", "attendees", "recipient"):
+                            record[slot] = "Ana"
+                        elif slot == "name" and spec["service"] == "contacts":
+                            record[slot] = "Ana"
+                        elif "time" in slot:
+                            record[slot] = "09:00"
+                        elif "date" in slot:
+                            record[slot] = "Thu 2025-04-17"
+                        else:
+                            record[slot] = f"{slot} value"
+                    # wrong count for every service on the first try
+                    count = 0 if self.attempts == 1 else spec["count"]
+                    out[spec["service"]] = [dict(record) for _ in range(count)]
+                return json.dumps(out)
 
         backend = FlakyBackend()
         now = dt.datetime(2025, 4, 16, 9, 30)
         out = generate_contexts(PERSONA, SCHEMAS, now, backend, CFG,
                                 derive_rng("flaky"))
-        assert out
-        # services asking for more than one record needed the second attempt
-        assert any(n >= 2 for n in backend.attempts_by_service.values())
+        assert set(out) == set(context_services(SCHEMAS))
+        # the first batch was invalid, so the whole batch was asked again
+        assert backend.attempts == 2
 
     def test_persistent_invalid_records_raise(self):
         class BrokenBackend(Backend):
@@ -167,16 +166,117 @@ class TestAppContext:
             assert AppContext.from_dict(ctx.to_dict()).to_dict() == ctx.to_dict()
 
 
-class TestParseJsonArray:
-    def test_extracts_array_from_noise(self):
-        assert _parse_json_array('sure! [{"a": 1}] done') == [{"a": 1}]
+class _RecordingMock(MockBackend):
+    """The mock backend, keeping every request it answers."""
 
-    def test_single_object_fallback(self):
-        assert _parse_json_array('{"a": 1}') == [{"a": 1}]
+    def __init__(self, seed=0):
+        super().__init__(seed=seed)
+        self.requests = []
+
+    def _complete(self, req):
+        self.requests.append(req)
+        return super()._complete(req)
+
+
+class _StrangerSender(MockBackend):
+    """Mock answers whose messages come from a name that is not a contact,
+    for the first ``bad`` attempts."""
+
+    def __init__(self, bad):
+        super().__init__(seed=0)
+        self.bad = bad
+        self.attempts = 0
+
+    def _complete(self, req):
+        self.attempts += 1
+        obj = json.loads(super()._complete(req))
+        if self.attempts <= self.bad:
+            for record in obj["messages"]:
+                record["sender"] = "Stranger Danger"
+        return json.dumps(obj)
+
+
+class TestBatchedContexts:
+    NOW = dt.datetime(2025, 4, 16, 9, 30)
+
+    def test_one_context_call_per_dialog(self):
+        backend = MockBackend(seed=0)
+        generate_contexts(PERSONA, SCHEMAS, self.NOW, backend, CFG,
+                          derive_rng("one"))
+        assert backend.call_counts == {"context": 1}
+
+    def test_no_call_without_context_services(self):
+        backend = MockBackend(seed=0)
+        out = generate_contexts(PERSONA, SCHEMAS.subset(("weather",)), self.NOW,
+                                backend, CFG, derive_rng("none"))
+        assert out == {}
+        assert backend.call_counts == {}
+
+    def test_sender_outside_contacts_is_retried(self):
+        backend = _StrangerSender(bad=1)
+        out = generate_contexts(PERSONA, SCHEMAS, self.NOW, backend, CFG,
+                                derive_rng("sender"))
+        assert backend.attempts == 2
+        names = {r["name"] for r in out["contacts"].records}
+        assert all(r["sender"] in names for r in out["messages"].records)
+
+    def test_sender_outside_contacts_raises_naming_messages(self):
+        backend = _StrangerSender(bad=CFG.content_retries)
+        with pytest.raises(ContextError,
+                           match=r"attempts: messages: sender .* not in contacts"):
+            generate_contexts(PERSONA, SCHEMAS, self.NOW, backend, CFG,
+                              derive_rng("sender"))
+        assert backend.attempts == CFG.content_retries
+
+    def test_prompt_states_every_count_and_key(self):
+        backend = _RecordingMock()
+        generate_contexts(PERSONA, SCHEMAS, self.NOW, backend, CFG,
+                          derive_rng("prompt"))
+        (req,) = backend.requests
+        prompt = req.messages[0][1]
+        assert PERSONA.introduction in prompt
+        assert "Wed 2025-04-16" in prompt
+        assert "one of the generated contact names" in prompt
+        lines = {
+            line.split(":")[0][2:]: line
+            for line in prompt.splitlines() if line.startswith("- ")
+        }
+        specs = req.metadata["services"]
+        assert [spec["service"] for spec in specs] == \
+            list(context_services(SCHEMAS)) == list(lines)
+        for spec in specs:
+            line = lines[spec["service"]]
+            assert f" {spec['count']} records" in line
+            for key in spec["record_slots"]:
+                assert repr(key) in line
+
+    def test_equal_prompts_get_equal_mock_answers(self):
+        """The replay stub keys on the prompt alone, so nothing the mock
+        reads may vary while the prompt stays the same."""
+        twin = Persona(id="persona-twin", surname=PERSONA.surname,
+                       introduction=PERSONA.introduction,
+                       speaking_habit=PERSONA.speaking_habit)
+        runs = []
+        for persona in (PERSONA, twin):
+            backend = _RecordingMock()
+            out = generate_contexts(persona, SCHEMAS, self.NOW, backend, CFG,
+                                    derive_rng("twin"))
+            runs.append((backend.requests[0].messages,
+                         {k: v.to_dict() for k, v in out.items()}))
+        assert runs[0] == runs[1]
+
+
+class TestParseJsonObject:
+    """The one JSON extractor, on the shapes a context batch comes in."""
+
+    def test_extracts_object_from_noise(self):
+        assert _parse_json_object('sure! {"alarms": [{"a": 1}]} done') == \
+            {"alarms": [{"a": 1}]}
 
     def test_brackets_in_strings(self):
-        assert _parse_json_array('[{"a": "]["}]') == [{"a": "]["}]
+        assert _parse_json_object('{"alarms": [{"a": "]}["}]}') == \
+            {"alarms": [{"a": "]}["}]}
 
-    def test_errors_without_array(self):
-        with pytest.raises(ContextError):
-            _parse_json_array("no structure here")
+    def test_errors_without_object(self):
+        with pytest.raises(PersonaError, match="no JSON object"):
+            _parse_json_object("no structure here")

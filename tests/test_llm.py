@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from todgen import runner
 from todgen.llm import (
     AuthError,
     BackendConfig,
@@ -44,10 +45,11 @@ class TestMockBackend:
 
     def test_metadata_changes_output(self):
         backend = MockBackend(seed=0)
+        services = [{"service": "alarms", "record_slots": ["name"], "count": 2}]
         a = backend.complete(req(tag="context", metadata={
-            "record_slots": ["name"], "count": 2, "attempt": 0}))
+            "services": services, "attempt": 0}))
         b = backend.complete(req(tag="context", metadata={
-            "record_slots": ["name"], "count": 2, "attempt": 1}))
+            "services": services, "attempt": 1}))
         assert a != b
 
     def test_call_and_token_accounting(self):
@@ -85,6 +87,7 @@ class _StubHandler(BaseHTTPRequestHandler):
     script: list = []
     bodies: list = []
     requests_seen: list = []
+    retry_after = None  # Retry-After header sent with a 429
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -95,6 +98,8 @@ class _StubHandler(BaseHTTPRequestHandler):
         status = self.script.pop(0) if self.script else 200
         if status != 200:
             self.send_response(status)
+            if status == 429 and self.retry_after is not None:
+                self.send_header("Retry-After", self.retry_after)
             self.end_headers()
             return
         body = (
@@ -118,6 +123,7 @@ def stub_server():
     _StubHandler.script = []
     _StubHandler.bodies = []
     _StubHandler.requests_seen = []
+    _StubHandler.retry_after = None
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -126,13 +132,13 @@ def stub_server():
     thread.join()
 
 
-def http_backend(endpoint, attempts=3):
+def http_backend(endpoint, attempts=3, backoff=0.0):
     return HttpBackend(
         BackendConfig(
             kind="http",
             endpoint=endpoint,
             model="stub-model",
-            retry=RetryPolicy(max_attempts=attempts, backoff=0.0),
+            retry=RetryPolicy(max_attempts=attempts, backoff=backoff),
         )
     )
 
@@ -152,6 +158,31 @@ class TestHttpBackend:
         assert backend.complete(req()) == "stub reply"
         assert backend.last_attempts == 3
         assert len(_StubHandler.requests_seen) == 3
+
+    @pytest.mark.parametrize("header, wait", [
+        ("2", 2.0),                              # delay-seconds: honoured
+        (None, 0.25),                            # absent: policy backoff
+        ("Wed, 21 Oct 2026 07:28:00 GMT", 0.25),  # HTTP date: policy backoff
+    ])
+    def test_rate_limit_is_retried(self, stub_server, monkeypatch, header, wait):
+        _StubHandler.script = [429, 200]
+        _StubHandler.retry_after = header
+        sleeps = []  # (seconds, whether the dialog still held its turn)
+        monkeypatch.setattr(
+            "todgen.llm.time.sleep",
+            lambda s: sleeps.append((s, runner._local.turn.locked())),
+        )
+        backend = http_backend(stub_server, backoff=0.25)
+        out = runner.run_dialogs(lambda _: backend.complete(req()), [0], 1)
+        assert out == ["stub reply"]
+        assert backend.last_attempts == 2
+        assert sleeps == [(wait, False)]
+
+    def test_rate_limit_exhaustion_raises(self, stub_server):
+        _StubHandler.script = [429, 429]
+        with pytest.raises(RetryExhaustedError, match="rate limited"):
+            http_backend(stub_server, attempts=2).complete(req())
+        assert len(_StubHandler.requests_seen) == 2
 
     def test_retry_exhaustion_raises_with_attempt_count(self, stub_server):
         _StubHandler.script = [500, 500, 500]
