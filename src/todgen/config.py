@@ -6,6 +6,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
+from urllib.parse import urlsplit
 
 import yaml
 
@@ -151,6 +152,8 @@ class PipelineConfig:
                 f"held_out_service {self.held_out_service!r} is not in the "
                 f"services subset {list(self.services)}"
             )
+        for name in _BACKEND_FIELDS:
+            _check_backend(name, getattr(self, name))
 
     @property
     def schema_manifest_path(self) -> Path:
@@ -180,20 +183,64 @@ class PipelineConfig:
         return tuple(self.preference_orders.get(service, ()))
 
 
-def _backend_from_dict(obj: dict, seed: int) -> BackendConfig:
+_BACKEND_FIELDS = ("user_backend", "system_backend", "evaluator_backend")
+_BACKEND_KEYS = {"kind", "endpoint", "model", "auth_env", "timeout", "retry",
+                 "seed"}
+_RETRY_KEYS = {"max_attempts", "backoff"}
+
+
+def _check_backend(name: str, b: BackendConfig) -> None:
+    """Reject a backend config that could only fail at its first completion,
+    or that would be retried as if the failure were transient."""
+    if b.kind not in ("mock", "http"):
+        raise ConfigError(f"{name}.kind must be 'mock' or 'http', got {b.kind!r}")
+    if b.kind == "http":
+        try:
+            url = urlsplit(b.endpoint)
+            ok = url.scheme in ("http", "https") and bool(url.hostname)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ConfigError(
+                f"{name}.endpoint must be an absolute http:// or https:// URL "
+                f"with a host, got {b.endpoint!r}"
+            )
+    if not b.timeout > 0:
+        raise ConfigError(f"{name}.timeout must be > 0, got {b.timeout}")
+    if b.retry.max_attempts < 1:
+        raise ConfigError(
+            f"{name}.retry.max_attempts must be at least 1, "
+            f"got {b.retry.max_attempts}"
+        )
+    if not b.retry.backoff >= 0:
+        raise ConfigError(
+            f"{name}.retry.backoff must be >= 0, got {b.retry.backoff}"
+        )
+
+
+def _backend_from_dict(name: str, obj: dict, seed: int) -> BackendConfig:
     retry = obj.get("retry", {})
-    return BackendConfig(
-        kind=obj.get("kind", "mock"),
-        endpoint=obj.get("endpoint", ""),
-        model=obj.get("model", ""),
-        auth_env=obj.get("auth_env", "TODGEN_API_KEY"),
-        timeout=float(obj.get("timeout", 30.0)),
-        retry=RetryPolicy(
-            max_attempts=int(retry.get("max_attempts", 3)),
-            backoff=float(retry.get("backoff", 0.1)),
-        ),
-        seed=int(obj.get("seed", seed)),
-    )
+    if not isinstance(retry, dict):
+        raise ConfigError(f"{name}.retry must be a mapping, got {retry!r}")
+    unknown = sorted(set(obj) - _BACKEND_KEYS) + sorted(
+        f"retry.{k}" for k in set(retry) - _RETRY_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown keys in {name}: {unknown}")
+    try:
+        return BackendConfig(
+            kind=obj.get("kind", "mock"),
+            endpoint=obj.get("endpoint", ""),
+            model=obj.get("model", ""),
+            auth_env=obj.get("auth_env", "TODGEN_API_KEY"),
+            timeout=float(obj.get("timeout", 30.0)),
+            retry=RetryPolicy(
+                max_attempts=int(retry.get("max_attempts", 3)),
+                backoff=float(retry.get("backoff", 0.1)),
+            ),
+            seed=int(obj.get("seed", seed)),
+        )
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{name}: {e}") from e
 
 
 _TUPLE_FIELDS = {
@@ -218,9 +265,9 @@ def load_config(path: Optional[str] = None, **overrides) -> PipelineConfig:
         values.update(raw)
     values.update({k: v for k, v in overrides.items() if v is not None})
     seed = int(values.get("seed", 0))
-    for key in ("user_backend", "system_backend", "evaluator_backend"):
+    for key in _BACKEND_FIELDS:
         if isinstance(values.get(key), dict):
-            values[key] = _backend_from_dict(values[key], seed)
+            values[key] = _backend_from_dict(key, values[key], seed)
     for key in _TUPLE_FIELDS:
         if isinstance(values.get(key), list):
             values[key] = tuple(values[key])

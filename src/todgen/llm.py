@@ -11,17 +11,26 @@ from __future__ import annotations
 
 import datetime as dt
 import hashlib
+import http.client
 import json
 import os
 import random
+import ssl
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import requests
-
 from .runner import waiting
+
+# keep in step with the version in pyproject.toml
+__version__ = "0.1.0"
+
+# sent explicitly: some API gateways reject urllib's default "Python-urllib/3.x"
+USER_AGENT = f"todgen/{__version__}"
 
 __all__ = [
     "CompletionRequest",
@@ -122,56 +131,65 @@ class Backend:
 
 class HttpBackend(Backend):
     """Chat-completions HTTP client with bounded retry on transient failures
-    (connection errors, timeouts, 429 and 5xx)."""
+    (connection errors, timeouts, 429 and 5xx).
+
+    The transport is ``urllib.request`` with one connection per request.
+    Proxies come from the environment (``http_proxy``, ``https_proxy``,
+    ``no_proxy``), read once when the backend is built; HTTPS verifies
+    against the system CA store.
+    """
 
     def __init__(self, config: BackendConfig, **kwargs):
         super().__init__(**kwargs)
         self.config = config
         self.last_attempts = 0
+        # one TLS context for every request; loading the CA store costs tens
+        # of milliseconds, so a plain-http endpoint does without it
+        https = urllib.parse.urlsplit(config.endpoint).scheme == "https"
+        context = ssl.create_default_context() if https else None
+        self._opener = urllib.request.build_opener(
+            urllib.request.HTTPSHandler(context=context))
 
     def _complete(self, req: CompletionRequest) -> str:
         token = os.environ.get(self.config.auth_env, "")
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", "User-Agent": USER_AGENT}
         if token:
             headers["Authorization"] = f"Bearer {token}"
-        body = {
+        data = json.dumps({
             "model": self.config.model,
             "messages": [{"role": r, "content": c} for r, c in req.messages],
             "temperature": req.temperature,
             "max_tokens": req.max_tokens,
-        }
+        }).encode("utf-8")
         policy = self.config.retry
         last_error: Optional[Exception] = None
         attempt = 0
         try:
             for attempt in range(1, policy.max_attempts + 1):
                 delay = policy.backoff * attempt
+                request = urllib.request.Request(
+                    self.config.endpoint, data=data, headers=headers,
+                    method="POST")
                 try:
                     with waiting():
-                        resp = requests.post(
-                            self.config.endpoint,
-                            json=body,
-                            headers=headers,
-                            timeout=self.config.timeout,
-                        )
-                except requests.Timeout as e:
-                    last_error = BackendTimeout(str(e))
-                except requests.RequestException as e:
-                    last_error = BackendError(str(e))
+                        status, retry_after, body = self._send(request)
+                except BackendError as e:
+                    last_error = e
                 else:
-                    if resp.status_code in (401, 403):
-                        raise AuthError(f"authentication failed ({resp.status_code})")
-                    if resp.status_code == 429:
+                    if status in (401, 403):
+                        raise AuthError(f"authentication failed ({status})")
+                    if status == 429:
                         last_error = BackendError("rate limited (429)")
-                        delay = _retry_after(resp.headers.get("Retry-After"), delay)
-                    elif resp.status_code >= 500:
-                        last_error = BackendError(f"server error {resp.status_code}")
-                    elif resp.status_code != 200:
-                        raise BackendError(f"unexpected status {resp.status_code}")
+                        delay = _retry_after(retry_after, delay)
+                    elif status >= 500:
+                        last_error = BackendError(f"server error {status}")
+                    elif status != 200:
+                        raise BackendError(f"unexpected status {status}")
                     else:
                         try:
-                            return resp.json()["choices"][0]["message"]["content"]
-                        except (ValueError, KeyError, IndexError) as e:
+                            obj = json.loads(body)
+                            return obj["choices"][0]["message"]["content"]
+                        except (ValueError, TypeError, KeyError, IndexError) as e:
                             raise BackendError(f"malformed response body: {e}") from e
                 if attempt < policy.max_attempts:
                     with waiting():
@@ -181,6 +199,24 @@ class HttpBackend(Backend):
             # it is the caller's own count at any concurrency
             self.last_attempts = attempt
         raise RetryExhaustedError(str(last_error), policy.max_attempts)
+
+    def _send(self, request: urllib.request.Request
+              ) -> tuple[int, Optional[str], bytes]:
+        """One attempt: the status, the ``Retry-After`` header and the whole
+        body. A transport failure raises :class:`BackendTimeout` or
+        :class:`BackendError`, both retried."""
+        try:
+            with self._opener.open(request, timeout=self.config.timeout) as resp:
+                return resp.status, resp.headers.get("Retry-After"), resp.read()
+        except urllib.error.HTTPError as e:  # a status outside 2xx
+            e.close()
+            return e.code, e.headers.get("Retry-After"), b""
+        except (OSError, http.client.HTTPException) as e:
+            # urllib wraps a failed connect in URLError; its reason says why
+            if isinstance(getattr(e, "reason", e), TimeoutError):
+                raise BackendTimeout(
+                    f"timed out after {self.config.timeout:g} s") from e
+            raise BackendError(f"{type(e).__name__}: {e}") from e
 
 
 def _retry_after(header: Optional[str], default: float) -> float:

@@ -186,7 +186,6 @@ def build_history(plot: Plot, realized: list) -> str:
     """Prompt-ready conversation history: the seeded opening exchange plus
     one line per realized turn, system turns shown in their default style."""
     lines = list(_SEEDED_EXCHANGE)
-    system_index = 0
     for turn, utterance in zip(plot.turns, realized):
         actions = [print_action(a) for a in turn.actions]
         if turn.speaker == "User":
@@ -207,7 +206,6 @@ def build_history(plot: Plot, realized: list) -> str:
                     ensure_ascii=False,
                 )
             )
-            system_index += 1
     return "\n".join(lines)
 
 
@@ -282,7 +280,6 @@ def realize_system_turn(
     last_user_utterance: str,
     llm: Backend,
     config: PipelineConfig,
-    single_pass: bool = True,
 ) -> StyledResponse:
     if turn.speaker != "System":
         raise RealizerError("realize_system_turn needs a system turn")
@@ -301,46 +298,32 @@ def realize_system_turn(
         "action_info": _system_action_info(turn),
         "last_user_utterance": last_user_utterance,
     }
-    wanted = SIX_KEYS if not single_pass else (None,)
-    variants: dict = {}
     last_error = ""
-    for key in wanted:
-        for attempt in range(config.content_retries):
-            completion = llm.complete(
-                CompletionRequest(
-                    messages=(("user", prompt),),
-                    temperature=config.temperature,
-                    max_tokens=config.max_tokens,
-                    tag="system_turn",
-                    metadata={**metadata, "style_key": key, "attempt": attempt},
-                )
+    for attempt in range(config.content_retries):
+        completion = llm.complete(
+            CompletionRequest(
+                messages=(("user", prompt),),
+                temperature=config.temperature,
+                max_tokens=config.max_tokens,
+                tag="system_turn",
+                metadata={**metadata, "attempt": attempt},
             )
-            try:
-                obj = _parse_json_object(completion)
-            except Exception as e:
-                last_error = str(e)
-                continue
-            if key is None:
-                if set(obj) == set(SIX_KEYS) and all(
-                    isinstance(v, str) and v.strip() for v in obj.values()
-                ):
-                    variants = obj
-                    break
-                last_error = f"completion keys {sorted(obj)} != six style keys"
-            else:
-                v = obj.get(key)
-                if isinstance(v, str) and v.strip():
-                    variants[key] = v
-                    break
-                last_error = f"completion missing style key {key!r}"
-        else:
-            raise RealizerError(
-                f"system turn unrealized after {config.content_retries} "
-                f"attempts: {last_error}"
-            )
-        if key is None:
-            break
-    return StyledResponse(variants=variants, default_key=style_key(*default_style))
+        )
+        try:
+            variants = _parse_json_object(completion)
+        except Exception as e:
+            last_error = str(e)
+            continue
+        if set(variants) == set(SIX_KEYS) and all(
+            isinstance(v, str) and v.strip() for v in variants.values()
+        ):
+            return StyledResponse(variants=variants,
+                                  default_key=style_key(*default_style))
+        last_error = f"completion keys {sorted(variants)} != six style keys"
+    raise RealizerError(
+        f"system turn unrealized after {config.content_retries} attempts: "
+        f"{last_error}"
+    )
 
 
 def realize_dialog(
@@ -350,7 +333,6 @@ def realize_dialog(
     user_llm: Backend,
     system_llm: Backend,
     config: PipelineConfig,
-    single_pass: bool = True,
 ) -> DialogRecord:
     """Realize all turns in plot order; each turn sees the history of the
     default-styled turns before it."""
@@ -377,7 +359,6 @@ def realize_dialog(
                 last_user,
                 system_llm,
                 config,
-                single_pass=single_pass,
             )
             realized.append(response)
             system_index += 1

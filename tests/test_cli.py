@@ -77,6 +77,79 @@ class TestConfig:
             load_config(path)
 
 
+def load_backend_yaml(tmp_path, backend: str):
+    """``load_config`` on a file whose ``user_backend`` is ``backend``."""
+    path = tmp_path / "backend.yaml"
+    path.write_text(f"user_backend: {backend}\n")
+    return load_config(path)
+
+
+class TestBackendConfig:
+    """A bad backend config fails when it is loaded, before any backend
+    call."""
+
+    def test_valid_http_backend_loads(self, tmp_path):
+        cfg = load_backend_yaml(
+            tmp_path, "{kind: http, endpoint: 'https://api.example.com/v1', "
+            "timeout: 5, retry: {max_attempts: 1, backoff: 0}}")
+        assert cfg.user_backend.endpoint == "https://api.example.com/v1"
+        assert cfg.user_backend.retry.max_attempts == 1
+
+    def test_unknown_backend_key_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="timout"):
+            load_backend_yaml(tmp_path, "{kind: mock, timout: 5}")
+
+    def test_unknown_retry_key_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="retry.attempts"):
+            load_backend_yaml(tmp_path, "{kind: mock, retry: {attempts: 2}}")
+
+    @pytest.mark.parametrize("endpoint", [
+        "api.example.com/v1/chat/completions",  # no scheme
+        "/v1/chat/completions",                  # relative
+        "ftp://api.example.com/v1",              # not http(s)
+        "http:///v1/chat/completions",           # no host
+        "http://[::1/v1",                        # unparseable
+    ])
+    def test_bad_http_endpoint_rejected(self, tmp_path, endpoint):
+        with pytest.raises(ConfigError, match="absolute http"):
+            load_backend_yaml(tmp_path, f"{{kind: http, endpoint: '{endpoint}'}}")
+
+    @pytest.mark.parametrize("attempts", [0, -1])
+    def test_max_attempts_below_one_rejected(self, tmp_path, attempts):
+        with pytest.raises(ConfigError, match="max_attempts must be at least 1"):
+            load_backend_yaml(
+                tmp_path, f"{{kind: mock, retry: {{max_attempts: {attempts}}}}}")
+
+    def test_negative_backoff_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="backoff must be >= 0"):
+            load_backend_yaml(tmp_path, "{kind: mock, retry: {backoff: -0.5}}")
+
+    @pytest.mark.parametrize("timeout", [0, -3])
+    def test_timeout_not_positive_rejected(self, tmp_path, timeout):
+        with pytest.raises(ConfigError, match="timeout must be > 0"):
+            load_backend_yaml(tmp_path, f"{{kind: mock, timeout: {timeout}}}")
+
+    @pytest.mark.parametrize("backend, message", [
+        ("{kind: quantum}", "kind must be 'mock' or 'http'"),
+        ("{kind: http}", "requires an endpoint"),
+        ("{kind: mock, timeout: soon}", "could not convert"),
+        ("{kind: mock, retry: 3}", "retry must be a mapping"),
+    ])
+    def test_malformed_backend_values_rejected(self, tmp_path, backend, message):
+        with pytest.raises(ConfigError, match=message):
+            load_backend_yaml(tmp_path, backend)
+
+    def test_bad_backend_config_fails_before_any_stage(self, runner, tmp_path):
+        config = tmp_path / "c.yaml"
+        config.write_text("user_backend: {kind: http, endpoint: 'localhost:8000'}\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run-all", "--config", str(config),
+                                      "--out", str(out), "--count", "3"])
+        assert result.exit_code == 1
+        payload = json.loads(result.output.strip().splitlines()[-1])
+        assert payload["error"] == "ConfigError"
+        assert not out.exists()
+
 class TestRunAll:
     def test_produces_all_artifacts(self, runner, workdir):
         result = run(runner, ["run-all", "--config",

@@ -2,8 +2,14 @@
 auth handling, and error surfaces."""
 
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +19,12 @@ from todgen.llm import (
     BackendConfig,
     BackendError,
     CompletionRequest,
+    USER_AGENT,
     HttpBackend,
     MockBackend,
     RetryExhaustedError,
     RetryPolicy,
+    __version__,
     format_date,
     make_backend,
 )
@@ -88,13 +96,17 @@ class _StubHandler(BaseHTTPRequestHandler):
     bodies: list = []
     requests_seen: list = []
     retry_after = None  # Retry-After header sent with a 429
+    delay = 0.0  # seconds to wait before answering
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         payload = json.loads(self.rfile.read(length) or b"{}")
         type(self).requests_seen.append(
-            {"payload": payload, "auth": self.headers.get("Authorization")}
+            {"payload": payload, "auth": self.headers.get("Authorization"),
+             "path": self.path, "user_agent": self.headers.get("User-Agent")}
         )
+        if self.delay:  # some tests replace time.sleep
+            time.sleep(self.delay)
         status = self.script.pop(0) if self.script else 200
         if status != 200:
             self.send_response(status)
@@ -124,20 +136,23 @@ def stub_server():
     _StubHandler.bodies = []
     _StubHandler.requests_seen = []
     _StubHandler.retry_after = None
+    _StubHandler.delay = 0.0
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
     thread.join()
 
 
-def http_backend(endpoint, attempts=3, backoff=0.0):
+def http_backend(endpoint, attempts=3, backoff=0.0, timeout=30.0):
     return HttpBackend(
         BackendConfig(
             kind="http",
             endpoint=endpoint,
             model="stub-model",
+            timeout=timeout,
             retry=RetryPolicy(max_attempts=attempts, backoff=backoff),
         )
     )
@@ -224,6 +239,65 @@ class TestHttpBackend:
         )
         wire = json.dumps(_StubHandler.requests_seen[0]["payload"])
         assert "secret_hint" not in wire
+
+
+class TestHttpTransport:
+    """The stdlib transport: timeouts, refused connections, proxies from the
+    environment and the request headers."""
+
+    def test_slow_server_times_out_and_exhausts(self, stub_server):
+        _StubHandler.delay = 0.5
+        backend = http_backend(stub_server, attempts=2, timeout=0.1)
+        with pytest.raises(RetryExhaustedError, match="timed out") as e:
+            backend.complete(req())
+        assert e.value.attempts == 2
+        assert backend.last_attempts == 2
+
+    def test_closed_port_is_retried_then_exhausted(self):
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]
+        backend = http_backend(f"http://127.0.0.1:{port}/v1/chat/completions",
+                               attempts=3)
+        with pytest.raises(RetryExhaustedError) as e:
+            backend.complete(req())
+        assert e.value.attempts == 3
+        assert backend.last_attempts == 3
+
+    def test_proxy_from_environment(self, stub_server, monkeypatch):
+        proxy = stub_server.rsplit("/v1/", 1)[0]
+        for name in ("http_proxy", "HTTP_PROXY"):
+            monkeypatch.setenv(name, proxy)
+        for name in ("no_proxy", "NO_PROXY"):
+            monkeypatch.setenv(name, "")
+        url = "http://todgen.invalid/v1/chat/completions"
+        # the request goes to the proxy, which is the stub; nothing resolves
+        # the .invalid host
+        assert http_backend(url).complete(req()) == "stub reply"
+        assert _StubHandler.requests_seen[0]["path"] == url
+
+    def test_user_agent_sent(self, stub_server):
+        http_backend(stub_server).complete(req())
+        assert _StubHandler.requests_seen[0]["user_agent"] == USER_AGENT
+        assert USER_AGENT == f"todgen/{__version__}"
+
+    def test_version_matches_pyproject(self):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        text = pyproject.read_text(encoding="utf-8")
+        assert f'\nversion = "{__version__}"\n' in text
+
+
+def test_cli_import_does_not_load_requests():
+    """The HTTP transport is the stdlib; importing the CLI must not pull in
+    ``requests`` (it costs ~140 ms of start-up and several MB of RSS)."""
+    import todgen.cli
+
+    src = str(Path(todgen.cli.__file__).resolve().parents[1])
+    code = "import sys, todgen.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 class TestMakeBackend:

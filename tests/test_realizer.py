@@ -226,15 +226,6 @@ class TestRealizeSystemTurn:
         assert "funny movie tonight" in mirrored
         assert "funny movie tonight" not in plain
 
-    def test_per_style_mode_builds_same_keys(self):
-        plot = ticket_plot()
-        response = realize_system_turn(
-            plot.turns[1], "", "movie", ("mid", "yes"), "Hi.", LLM, CFG,
-            single_pass=False,
-        )
-        assert set(response.variants) == set(SIX_KEYS)
-        assert response.default_key == "verbosity_mid mirroring"
-
     def test_missing_style_keys_retry_then_fail(self):
         plot = ticket_plot()
         backend = ScriptedBackend(['{"only": "one"}'])
