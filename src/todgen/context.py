@@ -17,8 +17,15 @@ from .config import (
     CONTEXT_SERVICE_ORDER,
     PipelineConfig,
 )
-from .llm import Backend, CompletionRequest, format_date
-from .persona import Persona, PersonaError, _parse_json_object
+from .llm import (
+    Backend,
+    CompletionRequest,
+    ContentError,
+    complete_validated,
+    format_date,
+    parse_json_object,
+)
+from .persona import Persona
 from .schema import SchemaSet
 
 __all__ = [
@@ -143,29 +150,20 @@ def generate_contexts(
             else ""
         )
     )
-    last_problem = ""
-    for attempt in range(config.content_retries):
-        completion = llm.complete(
-            CompletionRequest(
-                messages=(("user", prompt),),
-                # the per-request token budget once per service in the batch
-                max_tokens=config.max_tokens * len(batch),
-                tag="context",
-                metadata={
-                    "services": batch,
-                    "contact_dependent": [
-                        s for s in services if s in CONTACT_DEPENDENT
-                    ],
-                    "today": today,
-                    "attempt": attempt,
-                },
-            )
-        )
-        try:
-            obj = _parse_json_object(completion)
-        except PersonaError as e:
-            last_problem = str(e)
-            continue
+    request = CompletionRequest(
+        messages=(("user", prompt),),
+        # the per-request token budget once per service in the batch
+        max_tokens=config.max_tokens * len(batch),
+        tag="context",
+        metadata={
+            "services": batch,
+            "contact_dependent": [s for s in services if s in CONTACT_DEPENDENT],
+            "today": today,
+        },
+    )
+
+    def parse(completion: str) -> dict[str, AppContext]:
+        obj = parse_json_object(completion)
         contact_names: list[str] = []
         for b in batch:
             service = b["service"]
@@ -175,16 +173,13 @@ def generate_contexts(
                 contact_names if service in CONTACT_DEPENDENT else [],
             )
             if problem:
-                last_problem = f"{service}: {problem}"
-                break
+                raise ContentError(f"{service}: {problem}")
             if service == "contacts":
                 contact_names = [str(r.get("name", "")) for r in records]
-        else:
-            return {
-                s: AppContext(service_name=s, today=today, time=clock, records=obj[s])
-                for s in services
-            }
-    raise ContextError(
-        f"context failed validation after {config.content_retries} "
-        f"attempts: {last_problem}"
-    )
+        return {
+            s: AppContext(service_name=s, today=today, time=clock, records=obj[s])
+            for s in services
+        }
+
+    return complete_validated(llm, request, parse, config.content_retries,
+                              ContextError)

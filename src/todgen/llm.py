@@ -21,8 +21,8 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, TypeVar
 
 from .runner import waiting
 
@@ -43,6 +43,9 @@ __all__ = [
     "AuthError",
     "BackendTimeout",
     "RetryExhaustedError",
+    "ContentError",
+    "parse_json_object",
+    "complete_validated",
     "make_backend",
 ]
 
@@ -225,6 +228,51 @@ def _retry_after(header: Optional[str], default: float) -> float:
     return float(header) if header and header.strip().isdigit() else default
 
 
+class ContentError(ValueError):
+    """A completion that fails to parse or validate; asking again may help."""
+
+
+_DECODER = json.JSONDecoder()
+
+
+def parse_json_object(text: str) -> dict:
+    """The JSON object that starts at the first ``{`` of possibly noisy text;
+    text around it is ignored."""
+    start = text.find("{")
+    if start < 0:
+        raise ContentError(f"no JSON object in completion: {text[:80]!r}")
+    try:
+        return _DECODER.raw_decode(text, start)[0]
+    except json.JSONDecodeError as e:
+        raise ContentError(f"invalid JSON object: {e}") from e
+    except RecursionError:
+        raise ContentError("JSON object nested too deeply") from None
+
+
+T = TypeVar("T")
+
+
+def complete_validated(llm: Backend, request: CompletionRequest,
+                       parse: Callable[[str], T], retries: int,
+                       error: type[Exception] = ContentError) -> T:
+    """``parse`` of the first completion it accepts, asking up to ``retries``
+    times. Attempt ``k`` adds ``"attempt": k`` to the request metadata, so
+    the mock answers each attempt afresh. ``parse`` rejects a completion by
+    raising :class:`ContentError`; any other exception, backend errors
+    included, propagates at once. When every attempt is rejected, ``error``
+    is raised with the last reason."""
+    problem: object = "no attempt made"
+    for attempt in range(retries):
+        completion = llm.complete(replace(
+            request, metadata={**(request.metadata or {}), "attempt": attempt}))
+        try:
+            return parse(completion)
+        except ContentError as e:
+            problem = e
+    raise error(
+        f"{request.tag} failed validation after {retries} attempts: {problem}")
+
+
 # ---------------------------------------------------------------------------
 # Mock backend
 # ---------------------------------------------------------------------------
@@ -343,10 +391,6 @@ def _mock_value(rng: random.Random, slot: str, potential_values, today: dt.date,
 
 def _words(text: str) -> int:
     return len(text.split())
-
-
-def _verbalize_value(v) -> str:
-    return str(v)
 
 
 class MockBackend(Backend):

@@ -15,7 +15,13 @@ from pathlib import Path
 from typing import Optional
 
 from .config import PipelineConfig
-from .llm import Backend, CompletionRequest
+from .llm import (
+    Backend,
+    CompletionRequest,
+    ContentError,
+    complete_validated,
+    parse_json_object,
+)
 from .rng import derive_rng
 
 __all__ = [
@@ -159,7 +165,7 @@ def sample_occupation(
                       "stream": rng.random()},
         )
     )
-    details = _parse_json_object(completion)
+    details = parse_json_object(completion)
     out["location"] = str(details.get("location", ""))
     out["affiliation"] = str(details.get("affiliation", ""))
     level = str(details.get("job_level", "not-specified"))
@@ -217,39 +223,30 @@ def write_introduction(
     if not partial.get("work_status"):
         raise PersonaError("persona has no work status; run occupation first")
     cues = _STATUS_CUES[partial["work_status"]]
-    last_error = "no attempt made"
-    for attempt in range(retries):
-        prompt = (
-            "Write a short first-person-free introduction for this persona, "
-            "inventing a first name, age, and hobbies. Mention the surname "
-            f"and work situation. Persona: {json.dumps(partial, sort_keys=True)}"
-        )
-        completion = llm.complete(
-            CompletionRequest(
-                messages=(("user", prompt),),
-                tag="persona_intro",
-                metadata={
-                    "surname": surname,
-                    "work_status": partial["work_status"],
-                    "occupation_title": partial.get("occupation_title", ""),
-                    "mbti": partial.get("mbti", ""),
-                    "attempt": attempt,
-                },
-            )
-        )
-        try:
-            obj = _parse_json_object(completion)
-        except PersonaError as e:
-            last_error = str(e)
-            continue
+    prompt = (
+        "Write a short first-person-free introduction for this persona, "
+        "inventing a first name, age, and hobbies. Mention the surname "
+        f"and work situation. Persona: {json.dumps(partial, sort_keys=True)}"
+    )
+    request = CompletionRequest(
+        messages=(("user", prompt),),
+        tag="persona_intro",
+        metadata={
+            "surname": surname,
+            "work_status": partial["work_status"],
+            "occupation_title": partial.get("occupation_title", ""),
+            "mbti": partial.get("mbti", ""),
+        },
+    )
+
+    def parse(completion: str) -> dict:
+        obj = parse_json_object(completion)
         intro = str(obj.get("introduction", ""))
         lowered = intro.lower()
         if surname.lower() not in lowered:
-            last_error = "introduction does not mention the surname"
-            continue
+            raise ContentError("introduction does not mention the surname")
         if not any(cue in lowered for cue in cues):
-            last_error = "introduction does not mention the work status"
-            continue
+            raise ContentError("introduction does not mention the work status")
         out = dict(partial)
         out["first_name"] = str(obj.get("first_name", ""))
         out["introduction"] = intro
@@ -257,44 +254,13 @@ def write_introduction(
             partial.get("mbti", "ISTJ"), partial.get("job_level", "not-specified")
         )
         return out
-    raise PersonaError(f"introduction rejected after {retries} attempts: {last_error}")
 
-
-def _parse_json_object(text: str) -> dict:
-    """Extract the first balanced JSON object from possibly noisy text."""
-    start = text.find("{")
-    if start < 0:
-        raise PersonaError(f"no JSON object in completion: {text[:80]!r}")
-    depth = 0
-    in_string = False
-    escape = False
-    for i in range(start, len(text)):
-        ch = text[i]
-        if in_string:
-            if escape:
-                escape = False
-            elif ch == "\\":
-                escape = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                try:
-                    return json.loads(text[start:i + 1])
-                except json.JSONDecodeError as e:
-                    raise PersonaError(f"invalid JSON object: {e}")
-    raise PersonaError("unbalanced JSON object in completion")
+    return complete_validated(llm, request, parse, retries, PersonaError)
 
 
 def generate_pool(config: PipelineConfig, llm: Backend) -> list[Persona]:
-    """Generate the persona pool; resamples a persona if validation keeps
-    failing for a particular draw."""
+    """Generate the persona pool; resamples a persona when its details
+    answer is unusable or its introduction keeps failing validation."""
     occupations = OccupationTable.load(config.industry_table_path)
     surnames = SurnameTable.load(config.surname_table_path)
     pool = []
@@ -302,15 +268,15 @@ def generate_pool(config: PipelineConfig, llm: Backend) -> list[Persona]:
         rng = persona_rng(config.seed, index)
         for _ in range(5):  # resampling bound
             partial = {"id": f"persona-{index:04d}"}
-            partial.update(
-                sample_occupation(rng, occupations, llm,
-                                  config.work_status_weights)
-            )
-            partial.update(sample_demographics(rng, surnames))
             try:
+                partial.update(
+                    sample_occupation(rng, occupations, llm,
+                                      config.work_status_weights)
+                )
+                partial.update(sample_demographics(rng, surnames))
                 partial = write_introduction(partial, llm,
                                              retries=config.content_retries)
-            except PersonaError:
+            except (ContentError, PersonaError):
                 continue
             pool.append(Persona.from_dict(partial))
             break

@@ -7,13 +7,20 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Optional
 
 from .config import PipelineConfig
 from .context import AppContext
-from .llm import Backend, CompletionRequest, _mock_value, _parse_today
+from .llm import (
+    Backend,
+    CompletionRequest,
+    ContentError,
+    _mock_value,
+    _parse_today,
+    complete_validated,
+)
 from .mr import (
     Action,
     Arg,
@@ -24,7 +31,6 @@ from .mr import (
     print_action_list,
     resolve_referral,
 )
-from .persona import _parse_json_object
 from .sampler import COMPLEX_REFERRAL, SELF_CORRECTION, DialogSpecimen
 from .schema import IntentSpec, SchemaSet, ServiceSchema
 
@@ -158,49 +164,39 @@ def query_database(
         f"{list(intent.result_slots)}."
         + (f" Today is {today}." if today else "")
     )
-    last_problem = ""
-    for attempt in range(config.content_retries):
-        completion = llm.complete(
-            CompletionRequest(
-                messages=(("user", prompt),),
-                tag="db_query",
-                metadata={
-                    "input_values": input_values,
-                    "result_slots": list(intent.result_slots),
-                    "today": today,
-                    "service": service,
-                    "intent": intent.name,
-                    "attempt": attempt,
-                },
-            )
-        )
+    request = CompletionRequest(
+        messages=(("user", prompt),),
+        tag="db_query",
+        metadata={
+            "input_values": input_values,
+            "result_slots": list(intent.result_slots),
+            "today": today,
+            "service": service,
+            "intent": intent.name,
+        },
+    )
+
+    def parse(completion: str) -> QueryResult:
         try:
             records = json.loads(completion)
-        except json.JSONDecodeError as e:
-            last_problem = f"invalid JSON: {e}"
-            continue
-        problem = ""
+        except (json.JSONDecodeError, RecursionError) as e:
+            raise ContentError(f"invalid JSON: {e}") from e
         if not isinstance(records, list) or len(records) != 5:
-            problem = "expected exactly 5 records"
-        else:
-            for r in records:
-                for k, v in input_values.items():
-                    if str(r.get(k)) != str(v):
-                        problem = f"record field {k!r} inconsistent with input"
-                        break
-                for slot in intent.result_slots:
-                    if slot not in r:
-                        problem = f"record missing result slot {slot!r}"
-                        break
-                if problem:
-                    break
-        if not problem:
-            return QueryResult(service=service, intent=intent.name, records=records)
-        last_problem = problem
-    raise PlotError(
-        f"database query failed validation after {config.content_retries} "
-        f"attempts: {last_problem}"
-    )
+            raise ContentError("expected exactly 5 records")
+        for r in records:
+            if not isinstance(r, dict):
+                raise ContentError("record is not an object")
+            for k, v in input_values.items():
+                if str(r.get(k)) != str(v):
+                    raise ContentError(
+                        f"record field {k!r} inconsistent with input")
+            for slot in intent.result_slots:
+                if slot not in r:
+                    raise ContentError(f"record missing result slot {slot!r}")
+        return QueryResult(service=service, intent=intent.name, records=records)
+
+    return complete_validated(llm, request, parse, config.content_retries,
+                              PlotError)
 
 
 def _value_args(values: dict, slots) -> tuple[Arg, ...]:
@@ -620,7 +616,6 @@ def inject_phenomena(
     rng: random.Random,
     contexts: dict[str, AppContext],
     schemas: SchemaSet,
-    spec: DialogSpecimen,
 ) -> Plot:
     """Add self-correction and complex-referral surface forms to user turns."""
     turns = list(plot.turns)
@@ -720,11 +715,9 @@ def inject_phenomena(
                     ),
                 )
             applied.append(SELF_CORRECTION)
-    out = Plot(
+    out = replace(
+        plot,
         turns=turns,
-        services=plot.services,
-        intents=plot.intents,
-        kind=plot.kind,
         phenomena=tuple(sorted(set(plot.phenomena) | set(applied))),
         default_styles=list(plot.default_styles),
     )
@@ -901,14 +894,7 @@ def assign_default_styles(
         if prev_user is not None and _mirroring_unsafe(prev_user, contexts):
             mirroring = "no"
         styles.append((verbosity, mirroring))
-    return Plot(
-        turns=list(plot.turns),
-        services=plot.services,
-        intents=plot.intents,
-        kind=plot.kind,
-        phenomena=plot.phenomena,
-        default_styles=styles,
-    )
+    return replace(plot, turns=list(plot.turns), default_styles=styles)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,32 +995,18 @@ def build_plot(
         )
         inner_action, lead = _build_inner_action(spec, schemas, contexts, config)
         plot = merge_compositional(outer, inner_action, spec.matched_slot, lead)
-        plot = Plot(
-            turns=plot.turns,
+        plot = replace(
+            plot,
             services=tuple(dict.fromkeys(
                 [outer_pair[0], spec.intents[1][0]]
             )),
             intents=(f"{outer_pair[0]}.{outer_pair[1]}",
                      f"{spec.intents[1][0]}.{spec.intents[1][1]}"),
-            kind="Compositional",
         )
-    plot = Plot(
-        turns=plot.turns,
-        services=plot.services,
-        intents=plot.intents,
-        kind=spec.kind,
-        phenomena=plot.phenomena,
-    )
-    plot = inject_phenomena(plot, spec.phenomena, rng, contexts, schemas, spec)
+    plot = inject_phenomena(plot, spec.phenomena, rng, contexts, schemas)
     # labels always reflect what the turns actually contain (an ambiguous
     # context can force an index referral even when none was sampled)
-    plot = Plot(
-        turns=plot.turns,
-        services=plot.services,
-        intents=plot.intents,
-        kind=plot.kind,
-        phenomena=derive_phenomena(plot.turns),
-    )
+    plot = replace(plot, phenomena=derive_phenomena(plot.turns))
     plot = assign_default_styles(plot, config, contexts)
     plot.validate()
     return plot

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .config import PipelineConfig
 from .dataset import Datapoint
-from .llm import Backend, CompletionRequest
+from .llm import Backend, CompletionRequest, ContentError, complete_validated
 from .mr import collect_literals, print_action
 from .realizer import StyledResponse, render_template
 from .runner import run_dialogs
@@ -198,21 +198,24 @@ def evaluate_consistency(
             else realized.variants["verbosity_high mirroring"]
         )
         pairs.append({"utterance": utterance, "values": values})
-    for attempt in range(config.content_retries):
-        completion = llm.complete(
-            CompletionRequest(
-                messages=(("user", prompt),),
-                tag="qc_eval",
-                metadata={"pairs": pairs, "datapoint": dp.id,
-                          "attempt": attempt},
-            )
-        )
-        lowered = completion.strip().lower()
-        if lowered.startswith("inconsistent"):
-            return "inconsistent", completion.strip()
-        if lowered.startswith("consistent"):
-            return "consistent", completion.strip()
-    return "unparseable", "no parseable verdict from the evaluator"
+    request = CompletionRequest(
+        messages=(("user", prompt),),
+        tag="qc_eval",
+        metadata={"pairs": pairs, "datapoint": dp.id},
+    )
+
+    def parse(completion: str) -> tuple[str, str]:
+        text = completion.strip()
+        lowered = text.lower()
+        for verdict in ("inconsistent", "consistent"):
+            if lowered.startswith(verdict):
+                return verdict, text
+        raise ContentError("no verdict")
+
+    try:
+        return complete_validated(llm, request, parse, config.content_retries)
+    except ContentError:
+        return "unparseable", "no parseable verdict from the evaluator"
 
 
 def run_qc(

@@ -11,9 +11,15 @@ from typing import Optional, Union
 
 from .config import PipelineConfig, data_path
 from .context import AppContext
-from .llm import Backend, CompletionRequest
+from .llm import (
+    Backend,
+    CompletionRequest,
+    ContentError,
+    complete_validated,
+    parse_json_object,
+)
 from .mr import Action, Arg, Call, Turn, collect_literals, print_action
-from .persona import Persona, _parse_json_object
+from .persona import Persona
 from .plot import Plot
 
 __all__ = [
@@ -242,34 +248,22 @@ def realize_user_turn(
             "user_style_instruction": persona.speaking_habit,
         },
     )
-    last_error = ""
-    for attempt in range(config.content_retries):
-        completion = llm.complete(
-            CompletionRequest(
-                messages=(("user", prompt),),
-                temperature=config.temperature,
-                max_tokens=config.max_tokens,
-                tag="user_turn",
-                metadata={
-                    "actions": actions,
-                    "action_info": _user_action_info(turn),
-                    "attempt": attempt,
-                },
-            )
-        )
-        try:
-            obj = _parse_json_object(completion)
-        except Exception as e:
-            last_error = str(e)
-            continue
-        message = obj.get("message")
-        if isinstance(message, str) and message.strip():
-            return message.strip()
-        last_error = "completion has no 'message' key"
-    raise RealizerError(
-        f"user turn unrealized after {config.content_retries} attempts: "
-        f"{last_error}"
+    request = CompletionRequest(
+        messages=(("user", prompt),),
+        temperature=config.temperature,
+        max_tokens=config.max_tokens,
+        tag="user_turn",
+        metadata={"actions": actions, "action_info": _user_action_info(turn)},
     )
+
+    def parse(completion: str) -> str:
+        message = parse_json_object(completion).get("message")
+        if not (isinstance(message, str) and message.strip()):
+            raise ContentError("completion has no 'message' key")
+        return message.strip()
+
+    return complete_validated(llm, request, parse, config.content_retries,
+                              RealizerError)
 
 
 def realize_system_turn(
@@ -293,37 +287,30 @@ def realize_system_turn(
             "action[cur_turn]": actions_json,
         },
     )
-    metadata = {
-        "actions": actions,
-        "action_info": _system_action_info(turn),
-        "last_user_utterance": last_user_utterance,
-    }
-    last_error = ""
-    for attempt in range(config.content_retries):
-        completion = llm.complete(
-            CompletionRequest(
-                messages=(("user", prompt),),
-                temperature=config.temperature,
-                max_tokens=config.max_tokens,
-                tag="system_turn",
-                metadata={**metadata, "attempt": attempt},
-            )
-        )
-        try:
-            variants = _parse_json_object(completion)
-        except Exception as e:
-            last_error = str(e)
-            continue
-        if set(variants) == set(SIX_KEYS) and all(
+    request = CompletionRequest(
+        messages=(("user", prompt),),
+        temperature=config.temperature,
+        max_tokens=config.max_tokens,
+        tag="system_turn",
+        metadata={
+            "actions": actions,
+            "action_info": _system_action_info(turn),
+            "last_user_utterance": last_user_utterance,
+        },
+    )
+
+    def parse(completion: str) -> StyledResponse:
+        variants = parse_json_object(completion)
+        if set(variants) != set(SIX_KEYS) or not all(
             isinstance(v, str) and v.strip() for v in variants.values()
         ):
-            return StyledResponse(variants=variants,
-                                  default_key=style_key(*default_style))
-        last_error = f"completion keys {sorted(variants)} != six style keys"
-    raise RealizerError(
-        f"system turn unrealized after {config.content_retries} attempts: "
-        f"{last_error}"
-    )
+            raise ContentError(
+                f"completion keys {sorted(variants)} != six style keys")
+        return StyledResponse(variants=variants,
+                              default_key=style_key(*default_style))
+
+    return complete_validated(llm, request, parse, config.content_retries,
+                              RealizerError)
 
 
 def realize_dialog(

@@ -9,8 +9,14 @@ from typing import Optional
 
 from .config import PipelineConfig
 from .context import AppContext
-from .llm import Backend, CompletionRequest
-from .persona import Persona, _parse_json_object
+from .llm import (
+    Backend,
+    CompletionRequest,
+    ContentError,
+    complete_validated,
+    parse_json_object,
+)
+from .persona import Persona
 from .schema import SchemaSet
 
 __all__ = [
@@ -340,48 +346,34 @@ def generate_slot_values(
             + json.dumps(fill)
             + (f" Today is {today}." if today else "")
         )
-        last_problem = ""
-        for attempt in range(config.content_retries):
-            completion = llm.complete(
-                CompletionRequest(
-                    messages=(("user", prompt),),
-                    tag="slot_values",
-                    metadata={
-                        "slots": fill,
-                        "today": today,
-                        "contact_names": contact_names,
-                        "dialog": dialog_id,
-                        "attempt": attempt,
-                    },
-                )
-            )
-            try:
-                values = _parse_json_object(completion)
-            except Exception as e:
-                last_problem = str(e)
-                continue
-            problem = ""
+        request = CompletionRequest(
+            messages=(("user", prompt),),
+            tag="slot_values",
+            metadata={
+                "slots": fill,
+                "today": today,
+                "contact_names": contact_names,
+                "dialog": dialog_id,
+            },
+        )
+
+        def parse(completion: str) -> dict:
+            values = parse_json_object(completion)
             for slot_spec in fill:
                 key = (
                     f"{slot_spec['service']}.{slot_spec['intent']}."
                     f"{slot_spec['slot']}"
                 )
                 if key not in values:
-                    problem = f"missing value for {key}"
-                    break
+                    raise ContentError(f"missing value for {key}")
                 allowed = slot_spec["potential_values"]
                 if allowed and str(values[key]) not in allowed:
-                    problem = f"value {values[key]!r} not allowed for {key}"
-                    break
-            if not problem:
-                spec.slot_values.update(values)
-                break
-            last_problem = problem
-        else:
-            raise SamplerError(
-                f"slot values failed validation after {config.content_retries} "
-                f"attempts: {last_problem}"
-            )
+                    raise ContentError(
+                        f"value {values[key]!r} not allowed for {key}")
+            return values
+
+        spec.slot_values.update(complete_validated(
+            llm, request, parse, config.content_retries, SamplerError))
 
     # propagate the inner result into the outer matched slot
     if inner_pair is not None and spec.matched_slot:

@@ -18,8 +18,14 @@ from todgen.context import (
     generate_contexts,
     sample_current_time,
 )
-from todgen.llm import Backend, MockBackend, make_backend
-from todgen.persona import Persona, PersonaError, _parse_json_object
+from todgen.llm import (
+    Backend,
+    ContentError,
+    MockBackend,
+    make_backend,
+    parse_json_object,
+)
+from todgen.persona import Persona
 from todgen.rng import derive_rng
 from todgen.schema import load_schema_set
 
@@ -267,16 +273,33 @@ class TestBatchedContexts:
 
 
 class TestParseJsonObject:
-    """The one JSON extractor, on the shapes a context batch comes in."""
+    """The one JSON extractor, on the shapes every backend stage's answers
+    come in."""
 
     def test_extracts_object_from_noise(self):
-        assert _parse_json_object('sure! {"alarms": [{"a": 1}]} done') == \
+        assert parse_json_object('sure! {"alarms": [{"a": 1}]} done') == \
             {"alarms": [{"a": 1}]}
+        assert parse_json_object('noise {"a": {"b": 1}} trailing') == \
+            {"a": {"b": 1}}
+        assert parse_json_object('{"a": 1} then {"b": 2}') == {"a": 1}
 
     def test_brackets_in_strings(self):
-        assert _parse_json_object('{"alarms": [{"a": "]}["}]}') == \
+        assert parse_json_object('{"alarms": [{"a": "]}["}]}') == \
             {"alarms": [{"a": "]}["}]}
+        assert parse_json_object('{"a": "}{"}') == {"a": "}{"}
+        assert parse_json_object(r'{"a": "say \"}\" {"}') == {"a": 'say "}" {'}
 
     def test_errors_without_object(self):
-        with pytest.raises(PersonaError, match="no JSON object"):
-            _parse_json_object("no structure here")
+        for text in ("no structure here", "plain text", ""):
+            with pytest.raises(ContentError, match="no JSON object"):
+                parse_json_object(text)
+
+    def test_errors_on_truncated_object(self):
+        for text in ('{"a": 1', '{"a": "}', "{'a': 1}"):
+            with pytest.raises(ContentError, match="invalid JSON object"):
+                parse_json_object(text)
+
+    def test_errors_on_deep_nesting(self):
+        text = '{"a":' * 200_000 + "1" + "}" * 200_000
+        with pytest.raises(ContentError, match="nested too deeply"):
+            parse_json_object(text)

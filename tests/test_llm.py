@@ -16,15 +16,18 @@ import pytest
 from todgen import runner
 from todgen.llm import (
     AuthError,
+    Backend,
     BackendConfig,
     BackendError,
     CompletionRequest,
+    ContentError,
     USER_AGENT,
     HttpBackend,
     MockBackend,
     RetryExhaustedError,
     RetryPolicy,
     __version__,
+    complete_validated,
     format_date,
     make_backend,
 )
@@ -298,6 +301,77 @@ def test_cli_import_does_not_load_requests():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+class Scripted(Backend):
+    """Gives the scripted answers in order (raising those that are
+    exceptions) and keeps every request."""
+
+    def __init__(self, answers):
+        super().__init__()
+        self.answers = list(answers)
+        self.requests = []
+
+    def _complete(self, r):
+        self.requests.append(r)
+        answer = self.answers[len(self.requests) - 1]
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+
+def parse_int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ContentError(f"not a number: {text!r}") from None
+
+
+class TestCompleteValidated:
+    REQUEST = req(tag="slot_values", metadata={"dialog": "d-1"})
+
+    def test_attempt_counts_up_in_metadata(self):
+        backend = Scripted(["x", "y", "z"])
+        with pytest.raises(ContentError):
+            complete_validated(backend, self.REQUEST, parse_int, 3)
+        assert [r.metadata for r in backend.requests] == [
+            {"dialog": "d-1", "attempt": k} for k in range(3)
+        ]
+        assert {(r.messages, r.tag) for r in backend.requests} == {
+            (self.REQUEST.messages, "slot_values")
+        }
+        assert self.REQUEST.metadata == {"dialog": "d-1"}
+
+    def test_first_valid_parse_wins(self):
+        backend = Scripted(["no", "7", "8"])
+        assert complete_validated(backend, self.REQUEST, parse_int, 3) == 7
+        assert len(backend.requests) == 2
+
+    def test_exhaustion_raises_given_error_with_last_problem(self):
+        class StageError(ValueError):
+            pass
+
+        backend = Scripted(["a", "b"])
+        with pytest.raises(StageError, match=(
+                r"^slot_values failed validation after 2 attempts: "
+                r"not a number: 'b'$")):
+            complete_validated(backend, self.REQUEST, parse_int, 2, StageError)
+        assert len(backend.requests) == 2
+
+    def test_backend_error_propagates_without_retry(self):
+        backend = Scripted([BackendError("down"), "1"])
+        with pytest.raises(BackendError, match="down"):
+            complete_validated(backend, self.REQUEST, parse_int, 3)
+        assert len(backend.requests) == 1
+
+    def test_other_parse_errors_propagate_without_retry(self):
+        def parse(text):
+            raise ValueError(f"bug on {text}")
+
+        backend = Scripted(["1", "2"])
+        with pytest.raises(ValueError, match="bug on 1"):
+            complete_validated(backend, self.REQUEST, parse, 3)
+        assert len(backend.requests) == 1
 
 
 class TestMakeBackend:

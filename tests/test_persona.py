@@ -16,7 +16,6 @@ from todgen.persona import (
     Persona,
     PersonaError,
     SurnameTable,
-    _parse_json_object,
     generate_pool,
     persona_rng,
     read_pool,
@@ -140,23 +139,6 @@ class TestWriteIntroduction:
             write_introduction(dict(self.PARTIAL), StubbornBackend(), retries=2)
 
 
-class TestParseJsonObject:
-    def test_extracts_first_balanced_object(self):
-        assert _parse_json_object('noise {"a": {"b": 1}} trailing') == \
-            {"a": {"b": 1}}
-
-    def test_handles_braces_in_strings(self):
-        assert _parse_json_object('{"a": "}{"}') == {"a": "}{"}
-
-    def test_errors_on_no_object(self):
-        with pytest.raises(PersonaError, match="no JSON object"):
-            _parse_json_object("plain text")
-
-    def test_errors_on_unbalanced(self):
-        with pytest.raises(PersonaError, match="unbalanced"):
-            _parse_json_object('{"a": 1')
-
-
 @pytest.fixture(scope="module")
 def pool():
     return generate_pool(CFG, LLM)
@@ -172,6 +154,22 @@ class TestGeneratePool:
             assert p.surname and p.introduction and p.speaking_habit
             assert p.mbti in MBTI_TYPES
             assert p.surname.lower() in p.introduction.lower()
+
+    def test_malformed_details_answer_resamples_the_persona(self):
+        class RefusesOnce(MockBackend):
+            refused = False
+
+            def _complete(self, req):
+                if req.tag == "persona_details" and not self.refused:
+                    self.refused = True
+                    return "Sorry, I can't help with that."
+                return super()._complete(req)
+
+        backend = RefusesOnce(seed=0)
+        pool = generate_pool(PipelineConfig(seed=3, persona_pool_size=4),
+                             backend)
+        assert backend.refused
+        assert [p.id for p in pool] == [f"persona-{i:04d}" for i in range(4)]
 
     def test_deterministic_under_seed(self, pool):
         again = generate_pool(CFG, MockBackend(seed=CFG.user_backend.seed))

@@ -462,6 +462,37 @@ class TestQueryDatabase:
         with pytest.raises(PlotError, match="does not query"):
             query_database("alarms", intent, {}, LLM, CFG)
 
+    def test_non_object_records_are_asked_again(self):
+        backend = NonObjectRecords(bad=1)
+        intent = SCHEMAS.service("movie").intent("get_movie_time")
+        result = query_database("movie", intent, {"movie_name": "Joker"},
+                                backend, CFG)
+        assert all(r["movie_name"] == "Joker" for r in result.records)
+        assert backend.calls == 2
+
+    def test_non_object_records_exhaust_as_plot_error(self):
+        backend = NonObjectRecords(bad=CFG.content_retries)
+        intent = SCHEMAS.service("movie").intent("get_movie_time")
+        with pytest.raises(PlotError, match="record is not an object"):
+            query_database("movie", intent, {"movie_name": "Joker"},
+                           backend, CFG)
+        assert backend.calls == CFG.content_retries
+
+
+class NonObjectRecords(MockBackend):
+    """Answers an array of five numbers for the first ``bad`` requests."""
+
+    def __init__(self, bad):
+        super().__init__(seed=3)
+        self.bad = bad
+        self.calls = 0
+
+    def _complete(self, req):
+        self.calls += 1
+        if self.calls <= self.bad:
+            return "[1, 2, 3, 4, 5]"
+        return super()._complete(req)
+
 
 class TestInjectPhenomena:
     def _delete_plot(self):
@@ -479,7 +510,7 @@ class TestInjectPhenomena:
         spec, plot = self._delete_plot()
         injected = inject_phenomena(
             plot, frozenset({"complex_referral"}), derive_rng(1),
-            {"alarms": ALARM_CTX}, SCHEMAS, spec,
+            {"alarms": ALARM_CTX}, SCHEMAS,
         )
         getter = injected.turns[0].actions[0]
         assert getter.has_arg("ordered_by") and getter.has_arg("index")
@@ -497,7 +528,6 @@ class TestInjectPhenomena:
         )
         injected = inject_phenomena(
             plot, frozenset({"self_correction"}), derive_rng(5), {}, SCHEMAS,
-            spec,
         )
         corrected = injected.turns[0].actions[0]
         seg = corrected.chain[-1]
@@ -527,7 +557,7 @@ class TestInjectPhenomena:
         )
         injected = inject_phenomena(
             plot, frozenset({"self_correction"}), derive_rng(2),
-            {"alarms": ALARM_CTX}, SCHEMAS, spec,
+            {"alarms": ALARM_CTX}, SCHEMAS,
         )
         getter = injected.turns[0].actions[0]
         seg = getter.chain[-1]
@@ -547,7 +577,6 @@ class TestInjectPhenomena:
         spec, plot = self._delete_plot()
         out = inject_phenomena(
             plot, frozenset(), derive_rng(0), {"alarms": ALARM_CTX}, SCHEMAS,
-            spec,
         )
         assert out.to_text() == plot.to_text()
 
@@ -615,7 +644,7 @@ class TestDefaultStyles:
         )
         injected = inject_phenomena(
             plot, frozenset({"complex_referral"}), derive_rng(1),
-            {"alarms": ALARM_CTX}, SCHEMAS, spec,
+            {"alarms": ALARM_CTX}, SCHEMAS,
         )
         styled = self._styled(injected, {"alarms": ALARM_CTX})
         assert styled.default_styles[0][0] == "high"  # would be mid otherwise
