@@ -6,7 +6,13 @@ import collections
 import pytest
 
 from todgen.config import PipelineConfig
-from todgen.llm import Backend, MockBackend, make_backend
+from todgen.llm import (
+    Backend,
+    ContentError,
+    MockBackend,
+    make_backend,
+    parse_json_object,
+)
 from todgen.persona import (
     GENDERS,
     MBTI_TYPES,
@@ -137,6 +143,21 @@ class TestWriteIntroduction:
 
         with pytest.raises(PersonaError, match="work status"):
             write_introduction(dict(self.PARTIAL), StubbornBackend(), retries=2)
+
+
+class TestParseJsonObject:
+    """The extractor persona details and introductions are read with."""
+
+    def test_extracts_first_balanced_object(self):
+        assert parse_json_object('noise {"a": {"b": 1}} trailing') == \
+            {"a": {"b": 1}}
+
+    def test_handles_braces_in_strings(self):
+        assert parse_json_object('{"a": "}{"}') == {"a": "}{"}
+
+    def test_errors_on_no_object(self):
+        with pytest.raises(ContentError, match="no JSON object"):
+            parse_json_object("plain text")
 
 
 @pytest.fixture(scope="module")
