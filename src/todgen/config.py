@@ -133,6 +133,10 @@ class PipelineConfig:
             raise ConfigError(
                 f"max_concurrency must be at least 1, got {self.max_concurrency}"
             )
+        if self.content_retries < 1:
+            raise ConfigError(
+                f"content_retries must be at least 1, got {self.content_retries}"
+            )
         ranges = {"record_count_range": self.record_count_range}
         ranges.update(
             (f"record_count_overrides[{service!r}]", r)

@@ -14,6 +14,7 @@ An argument that is itself an action is positional, e.g.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -269,8 +270,12 @@ def parse_action(text: str) -> Action:
     return a
 
 
+# Every stage re-reads the same plot lines; the parsed tuples are immutable,
+# so they are shared. At ~3 distinct lines and ~1.2 kB per dialog, the bound
+# holds a ~10k-dialog run and caps the memo near 40 MB.
+@functools.lru_cache(maxsize=1 << 15)
 def parse_action_list(text: str) -> tuple[Action, ...]:
-    """Parse ``[a, b]`` or a single bare action."""
+    """Parse ``[a, b]`` or a single bare action (memoized; failures are not)."""
     stripped = text.strip()
     if not stripped.startswith("["):
         return (parse_action(stripped),)

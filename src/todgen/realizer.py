@@ -4,6 +4,7 @@ from each system turn's default style."""
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -127,14 +128,17 @@ class DialogRecord:
 _PLACEHOLDER = re.compile(r"\{\{\s*([A-Za-z_][\w\[\]\.]*)\s*\}\}")
 
 
-def render_template(name: str, bindings: dict,
-                    template_dir=None) -> str:
-    """Substitute ``{{ variable }}`` placeholders; unbound variables error."""
-    path = (template_dir / name) if template_dir else data_path("templates", name)
+@functools.cache
+def _template(name: str) -> str:
+    """A bundled template's text, read once per process (failures are not)."""
     try:
-        text = path.read_text(encoding="utf-8")
+        return data_path("templates", name).read_text(encoding="utf-8")
     except OSError as e:
         raise TemplateError(f"cannot read template {name!r}: {e}")
+
+
+def render_template(name: str, bindings: dict) -> str:
+    """Substitute ``{{ variable }}`` placeholders; unbound variables error."""
 
     def sub(m: re.Match) -> str:
         var = m.group(1)
@@ -142,7 +146,7 @@ def render_template(name: str, bindings: dict,
             raise TemplateError(f"unbound template variable {var!r} in {name!r}")
         return str(bindings[var])
 
-    return _PLACEHOLDER.sub(sub, text)
+    return _PLACEHOLDER.sub(sub, _template(name))
 
 
 def _strip_correction(action: Action) -> tuple[Action, Optional[object]]:

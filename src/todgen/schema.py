@@ -22,7 +22,6 @@ __all__ = [
     "load_schema",
     "load_schema_set",
     "validate_schema_set",
-    "serialize_schema",
 ]
 
 
@@ -292,43 +291,6 @@ def load_schema(source: Union[str, Path, IO, bytes]) -> ServiceSchema:
     return svc
 
 
-def serialize_schema(svc: ServiceSchema) -> str:
-    """Inverse of load_schema on structured content."""
-    obj = {
-        "service_name": svc.service_name,
-        "intent_operations": [
-            {
-                "name": i.name,
-                "description": i.description,
-                "require_input_values": i.require_input_values,
-                "require_context": i.require_context,
-                "require_confirmation": i.require_confirmation,
-                "return_list": i.return_list,
-                "report_result": i.report_result,
-                "check_on_input": i.check_on_input,
-                "can_refer_to_input_slot": i.can_refer_to_input_slot,
-                "minimum_input_slot_number": i.minimum_input_slot_number,
-                "minimum_initial_slots": list(i.minimum_initial_slots),
-                "summary_emphasis_slots": list(i.summary_emphasis_slots),
-                "required_slots": list(i.required_slots),
-                "optional_slots": list(i.optional_slots),
-                "result_slots": list(i.result_slots),
-            }
-            for i in svc.intent_operations
-        ],
-        "slots": [
-            {
-                "name": s.name,
-                "description": s.description,
-                "potential_values": list(s.potential_values),
-                "alias": list(s.alias),
-            }
-            for s in svc.slots
-        ],
-    }
-    return json.dumps(obj, indent=2, ensure_ascii=False)
-
-
 def validate_schema_set(schemas: Iterable[ServiceSchema]) -> list[str]:
     """Cross-service diagnostics; empty list means the set is consistent.
 
@@ -385,10 +347,6 @@ class SchemaSet:
 
     def has_service(self, name: str) -> bool:
         return any(s.service_name == name for s in self.services)
-
-    @property
-    def service_names(self) -> tuple[str, ...]:
-        return tuple(s.service_name for s in self.services)
 
     def subset(self, names: Iterable[str]) -> "SchemaSet":
         names = list(names)

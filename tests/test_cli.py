@@ -265,6 +265,19 @@ class TestOptions:
         assert payload["error"] == "ConfigError"
         assert not (workdir / "out").exists()
 
+    def test_content_retries_below_one_fails_before_any_stage(self, runner,
+                                                             workdir):
+        (workdir / "config.yaml").write_text("content_retries: 0\n")
+        out = workdir / "out"
+        result = runner.invoke(main, ["run-all", "--config",
+                                      str(workdir / "config.yaml"),
+                                      "--out", str(out), "--count", "3"])
+        assert result.exit_code == 1
+        payload = json.loads(result.output.strip().splitlines()[-1])
+        assert payload["error"] == "ConfigError"
+        assert payload["message"] == "content_retries must be at least 1, got 0"
+        assert not out.exists()
+
     def test_bad_config_fails_cleanly(self, runner, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("not_a_real_key: 1\n")

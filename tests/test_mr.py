@@ -14,6 +14,7 @@ from todgen.mr import (
     parse_action,
     parse_action_list,
     print_action,
+    print_action_list,
     resolve_referral,
 )
 
@@ -148,6 +149,20 @@ def _actions(depth):
 @given(_actions(2))
 def test_print_parse_round_trip(action):
     assert parse_action(print_action(action)) == action
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_actions(1), min_size=1, max_size=3).map(tuple))
+def test_cached_action_list_round_trip(actions):
+    text = print_action_list(actions)
+    assert parse_action_list(text) == actions
+    assert parse_action_list(text) == actions  # served from the parse cache
+
+
+def test_malformed_action_list_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(MRSyntaxError, match="unexpected"):
+            parse_action_list("[confirm(), f(a=1]")
 
 
 class _Ctx:

@@ -766,6 +766,19 @@ class TestPlotSerialization:
         assert back.default_styles == plot.default_styles
         assert back.kind == plot.kind
 
+    def test_rebuilds_share_no_mutable_state(self):
+        plot = build_single_plot(
+            movie_specimen(), ("movie", "purchase_tickets"), SCHEMAS, {},
+            derive_rng(0), LLM, CFG,
+        )
+        row = assign_default_styles(plot, CFG, {}).to_dict()
+        first, second = Plot.from_dict(row), Plot.from_dict(row)
+        assert first == second
+        first.turns.append(first.turns[0])
+        first.default_styles.append(("low", "yes"))
+        assert second == Plot.from_dict(row)
+        assert len(second.turns) == len(first.turns) - 1
+
     def test_brackets_only_for_multi_action_turns(self):
         spec = DialogSpecimen(
             kind="Single", intents=(("alarms", "check"),),

@@ -2,10 +2,15 @@
 and retry behavior on malformed completions."""
 
 import json
+from collections import Counter
 
 import pytest
+from click.testing import CliRunner
 
-from todgen.config import PipelineConfig
+from todgen import realizer
+from todgen.cli import main
+from todgen.config import PipelineConfig, data_path
+from todgen.dataset import read_dataset
 from todgen.llm import Backend, make_backend
 from todgen.persona import Persona
 from todgen.plot import assign_default_styles, build_single_plot
@@ -79,19 +84,44 @@ class ScriptedBackend(Backend):
 
 
 class TestRenderTemplate:
-    def test_substitutes_placeholders(self, tmp_path):
-        (tmp_path / "t.txt").write_text("Hello {{ name }}, {{name}}!")
-        out = render_template("t.txt", {"name": "Ada"}, template_dir=tmp_path)
+    def test_substitutes_placeholders(self, monkeypatch):
+        monkeypatch.setattr(realizer, "_template",
+                            {"t.txt": "Hello {{ name }}, {{name}}!"}.__getitem__)
+        out = render_template("t.txt", {"name": "Ada"})
         assert out == "Hello Ada, Ada!"
 
-    def test_unbound_variable_errors(self, tmp_path):
-        (tmp_path / "t.txt").write_text("{{ missing }}")
+    def test_unbound_variable_errors(self, monkeypatch):
+        monkeypatch.setattr(realizer, "_template",
+                            {"t.txt": "{{ missing }}"}.__getitem__)
         with pytest.raises(TemplateError, match="unbound template variable"):
-            render_template("t.txt", {}, template_dir=tmp_path)
+            render_template("t.txt", {})
 
-    def test_missing_template_errors(self, tmp_path):
-        with pytest.raises(TemplateError, match="cannot read"):
-            render_template("absent.txt", {}, template_dir=tmp_path)
+    def test_missing_template_errors(self):
+        for _ in range(2):  # a failed read is not cached
+            with pytest.raises(TemplateError, match="cannot read"):
+                render_template("absent.txt", {})
+
+    def test_mock_run_reads_each_template_once(self, monkeypatch, tmp_path):
+        reads = Counter()
+
+        def counting_data_path(*parts):
+            reads[parts[-1]] += 1
+            return data_path(*parts)
+
+        monkeypatch.setattr(realizer, "data_path", counting_data_path)
+        realizer._template.cache_clear()
+        config = tmp_path / "config.yaml"
+        config.write_text("persona_pool_size: 4\n")
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["run-all", "--config", str(config), "--backend", "mock",
+                   "--count", "12", "--out", str(out)],
+            catch_exceptions=False,
+        )
+        assert result.exit_code == 0, result.output
+        assert len(read_dataset(out / "dialogs.jsonl")) == 12
+        assert len((out / "qc_report.jsonl").read_text().splitlines()) == 12
+        assert reads == {"user.txt": 1, "system.txt": 1, "qc.txt": 1}
 
     def test_packaged_templates_render(self):
         bindings_user = {
