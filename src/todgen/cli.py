@@ -176,12 +176,8 @@ def stage_contexts(cfg: PipelineConfig) -> list:
 
 
 def _read_jsonl(path: Path) -> list:
-    rows = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                rows.append(json.loads(line))
-    return rows
+        return [json.loads(line) for line in f if line.strip()]
 
 
 def stage_plots(cfg: PipelineConfig) -> list:
@@ -253,14 +249,18 @@ def stage_realize(cfg: PipelineConfig) -> list:
 
 def stage_qc(cfg: PipelineConfig) -> list:
     out = _outdir(cfg)
-    dps = read_dataset(_require(out / "dialogs.jsonl", "realize"))
+    dialogs = _require(out / "dialogs.jsonl", "realize")
+    dps = read_dataset(dialogs)
     llm = make_backend(cfg.evaluator_backend)
     reports = qc_mod.run_qc(dps, llm, cfg)
     _write_jsonl(out / "qc_report.jsonl", (r.to_dict() for r in reports))
     dropped = {r.datapoint_id for r in reports if r.disposition == "drop"}
-    kept = [dp for dp in dps if dp.id not in dropped]
-    with _checkpoint(out / "dataset.jsonl") as tmp:
-        write_dataset(kept, tmp)
+    keep = (dp.id not in dropped for dp in dps)
+    # read_dataset made one datapoint of each non-blank line, in order
+    with _checkpoint(out / "dataset.jsonl") as tmp, \
+            open(dialogs, encoding="utf-8") as src, \
+            open(tmp, "w", encoding="utf-8") as sink:
+        sink.writelines(line for line in src if line.strip() and next(keep))
     return reports
 
 

@@ -109,7 +109,7 @@ def read_dataset(source: Union[str, Path]) -> list:
                 continue
             try:
                 dps.append(Datapoint.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as e:
+            except (KeyError, TypeError, AttributeError, ValueError) as e:
                 raise DatasetError(f"{source}:{lineno}: malformed datapoint: {e}")
     return dps
 

@@ -15,6 +15,7 @@ import http.client
 import json
 import os
 import random
+import re
 import ssl
 import threading
 import time
@@ -110,14 +111,11 @@ class Backend:
         self._audit_log = audit_log
         self._lock = threading.Lock()
         self.call_counts: dict[str, int] = {}
-        self.token_counts: dict[str, int] = {}
 
     def complete(self, req: CompletionRequest) -> str:
         text = self._complete(req)
-        tokens = sum(len(c.split()) for _, c in req.messages) + len(text.split())
         with self._lock:
             self.call_counts[req.tag] = self.call_counts.get(req.tag, 0) + 1
-            self.token_counts[req.tag] = self.token_counts.get(req.tag, 0) + tokens
             if self._audit_log:
                 record = {
                     "tag": req.tag,
@@ -393,6 +391,10 @@ def _words(text: str) -> int:
     return len(text.split())
 
 
+# the mock's request digest input; changing it changes every mock answer
+_CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, default=str)
+
+
 class MockBackend(Backend):
     """Deterministic completion generator, a pure function of (request, seed).
 
@@ -405,17 +407,13 @@ class MockBackend(Backend):
         self.seed = seed
 
     def _rng(self, req: CompletionRequest) -> random.Random:
-        canon = json.dumps(
-            {
-                "seed": self.seed,
-                "tag": req.tag,
-                "metadata": req.metadata,
-                "messages": [list(m) for m in req.messages],
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-            default=str,
-        )
+        # tuples encode as lists, so the messages need no copy
+        canon = _CANONICAL.encode({
+            "seed": self.seed,
+            "tag": req.tag,
+            "metadata": req.metadata,
+            "messages": req.messages,
+        })
         digest = hashlib.sha256(canon.encode("utf-8")).digest()
         return random.Random(int.from_bytes(digest[:8], "big"))
 
@@ -650,8 +648,11 @@ def _mock_system_sentences(act: dict) -> tuple[str, str, str]:
     return low, mid, high
 
 
+_NOT_ALNUM_OR_SPACE = re.compile(r"[^\w\s]|_")
+
+
 def _normalize_for_match(text: str) -> str:
-    return "".join(c for c in text.lower() if c.isalnum() or c.isspace())
+    return _NOT_ALNUM_OR_SPACE.sub("", text.lower())
 
 
 def _mock_qc_eval(rng, meta, req) -> str:

@@ -12,7 +12,6 @@ index, so artifacts are byte-identical at any concurrency.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from typing import Callable, Iterable, TypeVar
 
@@ -29,30 +28,40 @@ def run_dialogs(fn: Callable[[T], R], items: Iterable[T], workers: int) -> list[
     """``[fn(item) for item in items]`` on ``workers`` threads, results in
     item order.
 
-    On the first exception the items not yet started are cancelled, the
-    running ones finish, and the exception of the lowest-index failed item is
-    raised, as a serial loop would raise it.
+    Each thread holds the turn and takes the next item itself, so the turn
+    changes hands only inside :func:`waiting`: with a backend that never
+    waits, one thread runs every item. After an exception no further item
+    starts, and the lowest-index failed item's exception is raised.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    items = list(items)
+    results: list = [None] * len(items)
+    errors: dict = {}  # item index -> exception
     turn = threading.Lock()
+    indices = iter(range(len(items)))  # shared; advanced only under the turn
 
-    def one(item: T) -> R:
+    def work() -> None:  # the thread, and so its _local.turn, ends with it
         with turn:
             _local.turn = turn
-            try:
-                return fn(item)
-            finally:
-                _local.turn = None
+            for i in indices:
+                if errors:
+                    break
+                try:
+                    results[i] = fn(items[i])
+                except BaseException as e:  # re-raised by the caller below
+                    errors[i] = e
 
-    with ThreadPoolExecutor(max_workers=workers,
-                            thread_name_prefix="dialog") as pool:
-        futures = [pool.submit(one, item) for item in items]
-        try:
-            wait(futures, return_when=FIRST_EXCEPTION)
-        finally:
-            for future in futures:
-                future.cancel()
-    # items start in order, so every cancelled item comes after a failed one
-    return [future.result() for future in futures]
+    # daemon threads, so an interrupted caller does not wait for every item
+    threads = [threading.Thread(target=work, name=f"dialog-{k}", daemon=True)
+               for k in range(min(workers, len(items)))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 @contextmanager

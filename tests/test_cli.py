@@ -218,6 +218,44 @@ class TestStageChaining:
         assert payload["stage"] == "plots"
         assert "personas" in payload["message"]
 
+    def test_qc_copies_kept_dialog_lines(self, runner, workdir):
+        """A dialog with a bare ISO date is dropped; ``dataset.jsonl`` is then
+        the other lines of ``dialogs.jsonl``, byte for byte."""
+        base = ["--config", str(workdir / "config.yaml")]
+        for stage in ("personas", "contexts", "plots", "realize"):
+            run(runner, [stage] + base)
+        dialogs = workdir / "out" / "dialogs.jsonl"
+        lines = dialogs.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[3])
+        row["dialog"]["turns"][0] += " on 2024-05-03"
+        lines[3] = json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
+        dialogs.write_text("".join(lines[:5] + ["\n"] + lines[5:]),
+                           encoding="utf-8")
+        run(runner, ["qc"] + base)
+        reports = [json.loads(line) for line in
+                   (workdir / "out" / "qc_report.jsonl").read_text().splitlines()]
+        assert [r["datapoint_id"] for r in reports
+                if r["disposition"] == "drop"] == [row["id"]]
+        assert (workdir / "out" / "dataset.jsonl").read_bytes() == \
+            "".join(lines[:3] + lines[4:]).encode("utf-8")
+
+    def test_malformed_checkpoint_row_fails_cleanly(self, runner, workdir):
+        base = ["--config", str(workdir / "config.yaml")]
+        for stage in ("personas", "contexts", "plots", "realize"):
+            run(runner, [stage] + base)
+        dialogs = workdir / "out" / "dialogs.jsonl"
+        lines = dialogs.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[1])
+        row["plot"] = 5
+        lines[1] = json.dumps(row) + "\n"
+        dialogs.write_text("".join(lines), encoding="utf-8")
+        result = runner.invoke(main, ["qc"] + base)
+        assert result.exit_code == 1
+        payload = json.loads(result.output.strip().splitlines()[-1])
+        assert payload["stage"] == "qc"
+        assert payload["error"] == "DatasetError"
+        assert "dialogs.jsonl:2: malformed datapoint" in payload["message"]
+
     def test_stats_uses_filtered_dataset_when_present(self, runner, workdir):
         base = ["--config", str(workdir / "config.yaml")]
         run(runner, ["run-all"] + base)

@@ -1,6 +1,7 @@
 """Backend behavior: mock determinism and accounting, HTTP client retry,
 auth handling, and error surfaces."""
 
+import datetime
 import json
 import os
 import socket
@@ -27,6 +28,7 @@ from todgen.llm import (
     RetryExhaustedError,
     RetryPolicy,
     __version__,
+    _normalize_for_match,
     complete_validated,
     format_date,
     make_backend,
@@ -63,13 +65,30 @@ class TestMockBackend:
             "services": services, "attempt": 1}))
         assert a != b
 
-    def test_call_and_token_accounting(self):
+    def test_call_accounting(self):
         backend = MockBackend(seed=0)
         backend.complete(req(tag="user_turn", content="one two three"))
         backend.complete(req(tag="user_turn"))
         backend.complete(req(tag="qc_eval", metadata={"pairs": []}))
         assert backend.call_counts == {"user_turn": 2, "qc_eval": 1}
-        assert backend.token_counts["user_turn"] > 0
+
+    def test_request_digest_is_pinned(self):
+        """Every mock answer is drawn from a digest of the request's canonical
+        JSON; a change to those bytes would change every mock artifact."""
+        request = CompletionRequest(
+            messages=(("system", "Sé brief."), ("user", "book a table for 2")),
+            tag="user_turn",
+            metadata={"attempt": 1, "when": datetime.date(2024, 5, 3),
+                      "values": ["x", 3]},
+        )
+        rng = MockBackend(seed=7)._rng(request)
+        assert rng.getrandbits(64) == 15374177986679739076
+
+    def test_normalize_for_match_keeps_exactly_alnum_and_space(self):
+        """Checked on every code point against the character predicate."""
+        text = "".join(map(chr, range(sys.maxunicode + 1)))
+        kept = [c for c in text.lower() if c.isalnum() or c.isspace()]
+        assert list(_normalize_for_match(text)) == kept
 
     def test_audit_log_records_exchanges(self, tmp_path):
         log = tmp_path / "audit.jsonl"

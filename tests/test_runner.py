@@ -3,12 +3,15 @@ waits, first-failure semantics, and concurrent stages over HTTP that write
 the same artifacts as a serial run."""
 
 import json
+import os
 import shutil
+import subprocess
 import sys
 import threading
 import time
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -53,6 +56,27 @@ class TestRunDialogs:
         finally:
             sys.setswitchinterval(interval)
         assert count == 64 * 50
+
+    def test_backend_that_never_waits_runs_every_item_on_one_thread(self):
+        """The turn changes hands only inside ``waiting``, so a worker keeps
+        taking the next item until none is left."""
+        threads = run_dialogs(lambda i: threading.get_ident(), range(20), 4)
+        assert len(set(threads)) == 1
+
+    def test_no_items(self):
+        assert run_dialogs(lambda i: i, [], 4) == []
+
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_dialogs(lambda i: i, range(3), 0)
+
+    def test_cli_import_does_not_load_a_thread_pool(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys, todgen.cli; print('concurrent.futures' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert out.stdout.strip() == "False"
 
     def test_failure_cancels_unstarted_items(self):
         started = []
