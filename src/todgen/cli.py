@@ -33,15 +33,15 @@ from . import dataset as dataset_mod
 from . import qc as qc_mod
 from .config import ConfigError, PipelineConfig, load_config
 from .context import generate_contexts, sample_current_time, AppContext
-from .dataset import Datapoint, compute_stats, read_dataset, split as split_corpus, \
-    stats_to_text, write_dataset
+from .dataset import Datapoint, compute_stats, read_dataset, read_jsonl, \
+    split as split_corpus, stats_to_text, write_dataset
 from .llm import make_backend
-from .persona import Persona, generate_pool, read_pool, write_pool
+from .persona import Persona, generate_pool, write_pool
 from .plot import Plot, build_plot
 from .realizer import realize_dialog
 from .rng import derive_rng
 from .runner import run_dialogs
-from .sampler import DialogSpecimen, sample_specimen
+from .sampler import sample_specimen
 from .schema import SchemaSet, load_schema_set
 
 _STAGE_ERRORS = (ConfigError, ValueError, RuntimeError, OSError, KeyError)
@@ -148,10 +148,15 @@ def stage_personas(cfg: PipelineConfig) -> list:
     return pool
 
 
+def _personas(out: Path) -> list:
+    return read_jsonl(
+        _require(out / "personas.jsonl", "personas"), Persona.from_dict, "row")
+
+
 def stage_contexts(cfg: PipelineConfig) -> list:
     """Per dialog: assign a persona, sample a clock, generate app contexts."""
     out = _outdir(cfg)
-    pool = read_pool(_require(out / "personas.jsonl", "personas"))
+    pool = _personas(out)
     schemas = _schemas(cfg)
     llm = make_backend(cfg.user_backend)
 
@@ -175,33 +180,35 @@ def stage_contexts(cfg: PipelineConfig) -> list:
     return rows
 
 
-def _read_jsonl(path: Path) -> list:
-    with open(path, encoding="utf-8") as f:
-        return [json.loads(line) for line in f if line.strip()]
+def _context_row(row: dict) -> tuple:
+    """(dialog id, persona id, contexts by service) of a contexts.jsonl row."""
+    return row["dialog_id"], row["persona_id"], {
+        c["service_name"]: AppContext.from_dict(c) for c in row["contexts"]}
+
+
+def _plot_row(row: dict) -> tuple:
+    """(dialog id, persona id, plot) of a plots.jsonl row."""
+    return row["dialog_id"], row["persona_id"], Plot.from_dict(row["plot"])
 
 
 def stage_plots(cfg: PipelineConfig) -> list:
     out = _outdir(cfg)
-    pool = {p.id: p for p in read_pool(_require(out / "personas.jsonl", "personas"))}
-    ctx_rows = _read_jsonl(_require(out / "contexts.jsonl", "contexts"))
+    pool = {p.id: p for p in _personas(out)}
+    ctx_rows = read_jsonl(
+        _require(out / "contexts.jsonl", "contexts"), _context_row, "row")
     schemas = _schemas(cfg)
     llm = make_backend(cfg.user_backend)
 
     def plot_row(i: int) -> dict:
-        ctx_row = ctx_rows[i]
-        persona = pool[ctx_row["persona_id"]]
-        contexts = {
-            c["service_name"]: AppContext.from_dict(c)
-            for c in ctx_row["contexts"]
-        }
+        dialog_id, persona_id, contexts = ctx_rows[i]
+        persona = pool[persona_id]
         rng = derive_rng(cfg.seed, "dialog", i)
         spec = sample_specimen(
-            rng, schemas, persona, contexts, llm, cfg,
-            dialog_id=ctx_row["dialog_id"],
+            rng, schemas, persona, contexts, llm, cfg, dialog_id=dialog_id,
         )
         plot = build_plot(spec, schemas, contexts, rng, llm, cfg)
         return {
-            "dialog_id": ctx_row["dialog_id"],
+            "dialog_id": dialog_id,
             "persona_id": persona.id,
             "specimen": spec.to_dict(),
             "plot": plot.to_dict(),
@@ -214,27 +221,24 @@ def stage_plots(cfg: PipelineConfig) -> list:
 
 def stage_realize(cfg: PipelineConfig) -> list:
     out = _outdir(cfg)
-    pool = {p.id: p for p in read_pool(_require(out / "personas.jsonl", "personas"))}
-    ctx_rows = {
-        r["dialog_id"]: r
-        for r in _read_jsonl(_require(out / "contexts.jsonl", "contexts"))
+    pool = {p.id: p for p in _personas(out)}
+    contexts_of = {
+        dialog_id: contexts for dialog_id, _, contexts in read_jsonl(
+            _require(out / "contexts.jsonl", "contexts"), _context_row, "row")
     }
-    plot_rows = _read_jsonl(_require(out / "plots.jsonl", "plots"))
+    plot_rows = read_jsonl(_require(out / "plots.jsonl", "plots"), _plot_row, "row")
     user_llm = make_backend(cfg.user_backend)
     system_llm = make_backend(cfg.system_backend)
 
-    def datapoint(row: dict) -> Datapoint:
-        plot = Plot.from_dict(row["plot"])
-        persona = pool[row["persona_id"]]
-        contexts = {
-            c["service_name"]: AppContext.from_dict(c)
-            for c in ctx_rows[row["dialog_id"]]["contexts"]
-        }
+    def datapoint(row: tuple) -> Datapoint:
+        dialog_id, persona_id, plot = row
+        persona = pool[persona_id]
+        contexts = contexts_of[dialog_id]
         record = realize_dialog(
             plot, persona, contexts, user_llm, system_llm, cfg
         )
         return Datapoint(
-            id=row["dialog_id"],
+            id=dialog_id,
             plot=plot,
             dialog=record,
             persona_id=persona.id,

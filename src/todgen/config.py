@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -89,7 +89,6 @@ class PipelineConfig:
     kind_ratios: tuple[float, float, float] = (0.405, 0.209, 0.386)
     self_correction_rate: float = 0.19
     complex_referral_rate: float = 0.151
-    alias_transitive: bool = True
     no_context_probability: float = 0.33
     optional_slot_probability: float = 0.5
 

@@ -22,11 +22,11 @@ from .llm import (
     CompletionRequest,
     ContentError,
     complete_validated,
-    format_date,
     parse_json_object,
 )
 from .persona import Persona
 from .schema import SchemaSet
+from .values import format_date
 
 __all__ = [
     "AppContext",

@@ -8,7 +8,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Union
+from typing import Callable, Union
 
 from .context import AppContext
 from .plot import Plot, derive_labels
@@ -21,6 +21,7 @@ __all__ = [
     "SplitManifest",
     "DatasetError",
     "write_dataset",
+    "read_jsonl",
     "read_dataset",
     "split",
     "compute_stats",
@@ -101,17 +102,24 @@ def write_dataset(dps: list, sink: Union[str, Path]) -> None:
             f.write("\n")
 
 
-def read_dataset(source: Union[str, Path]) -> list:
-    dps = []
+def read_jsonl(source: Union[str, Path], decode: Callable, what: str) -> list:
+    """``decode`` of each non-blank JSON line, in order. A line that is not
+    JSON or not of the shape ``decode`` expects raises :class:`DatasetError`
+    naming the file and line."""
+    rows = []
     with open(source, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
-                dps.append(Datapoint.from_dict(json.loads(line)))
+                rows.append(decode(json.loads(line)))
             except (KeyError, TypeError, AttributeError, ValueError) as e:
-                raise DatasetError(f"{source}:{lineno}: malformed datapoint: {e}")
-    return dps
+                raise DatasetError(f"{source}:{lineno}: malformed {what}: {e}")
+    return rows
+
+
+def read_dataset(source: Union[str, Path]) -> list:
+    return read_jsonl(source, Datapoint.from_dict, "datapoint")
 
 
 @dataclass

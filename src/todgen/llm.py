@@ -9,7 +9,6 @@ sends only the rendered prompt messages.
 
 from __future__ import annotations
 
-import datetime as dt
 import hashlib
 import http.client
 import json
@@ -22,10 +21,11 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, TypeVar
 
 from .runner import waiting
+from .values import FIRST_NAMES, PLACES, parse_display_date, sample_value
 
 # keep in step with the version in pyproject.toml
 __version__ = "0.1.0"
@@ -275,116 +275,12 @@ def complete_validated(llm: Backend, request: CompletionRequest,
 # Mock backend
 # ---------------------------------------------------------------------------
 
-_FIRST_NAMES = [
-    "Alex", "Maria", "James", "Wei", "Priya", "Omar", "Elena", "David",
-    "Aisha", "Carlos", "Yuki", "Fatima", "Liam", "Sofia", "Noah", "Amara",
-]
-_EVENT_NAMES = [
-    "Art Class", "Team Standup", "Dentist Appointment", "Yoga Session",
-    "Book Club", "Project Review", "Piano Lesson", "Soccer Practice",
-]
-_ALARM_NAMES = [
-    "Morning Workout", "Family Dinner", "Wake Up", "Medication",
-    "School Run", "Evening Walk",
-]
-_REMINDER_CONTENTS = [
-    "water the plants", "call the dentist", "submit the report",
-    "buy groceries", "renew the car insurance", "pick up the laundry",
-]
-_MESSAGE_CONTENTS = [
-    "See you at noon", "Running late, sorry", "Happy birthday!",
-    "Meeting moved to Friday", "Can you call me back?", "Dinner at our place?",
-]
-_MOVIE_TITLES = [
-    "Joker", "Dune", "Inside Out", "The Batman", "Oppenheimer", "Up",
-]
-_PLACES = [
-    "Las Vegas", "Houston", "Miami", "Seattle", "Denver", "Chicago",
-    "Boston", "Austin",
-]
-_VENUES = [
-    "Regal Cinemas", "French Brasserie", "Grand Plaza Hotel", "AMC Downtown",
-    "Blue Ribbon Diner", "Lakeside Inn",
-]
-_DURATIONS = ["30 minutes", "1 hour", "1.5 hours", "2 hours"]
 _AFFILIATIONS = [
     "Northside Clinic", "Crestview Logistics", "Bluefield University",
     "Harbor Analytics", "Summit Retail Group", "Maple Grove School District",
 ]
 _JOB_LEVELS = ["senior", "intermediate", "entry-level", "not-specified"]
 _HOBBIES = ["hiking", "photography", "cooking", "gardening", "chess", "cycling"]
-
-_WEEKDAYS = ["Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun"]
-
-
-def format_date(d: dt.date) -> str:
-    """Display form with weekday, e.g. 'Wed 2025-04-16'."""
-    return f"{_WEEKDAYS[d.weekday()]} {d.isoformat()}"
-
-
-def _parse_today(metadata: dict) -> dt.date:
-    today = (metadata or {}).get("today", "")
-    iso = today.split()[-1] if today else "2025-04-16"
-    try:
-        return dt.date.fromisoformat(iso)
-    except ValueError:
-        return dt.date(2025, 4, 16)
-
-
-def _mock_value(rng: random.Random, slot: str, potential_values, today: dt.date,
-                names: Optional[list] = None):
-    """Deterministic plausible value for a slot, keyed off its name."""
-    if potential_values:
-        return rng.choice(list(potential_values))
-    s = slot.lower()
-    if s in ("attendees", "recipient", "sender") and names:
-        return rng.choice(names)
-    if "date" in s:
-        return format_date(today + dt.timedelta(days=rng.randint(1, 14)))
-    if "duration" in s:
-        return rng.choice(_DURATIONS)
-    if "time" in s:
-        return f"{rng.randint(6, 21):02d}:{rng.choice(['00', '15', '30', '45'])}"
-    if s in ("ticket_quantity", "party_size"):
-        return rng.randint(1, 4)
-    if s == "amount":
-        return rng.randint(10, 500)
-    if s in ("price",):
-        return rng.randint(80, 400)
-    if s in ("balance",):
-        return rng.randint(100, 9000)
-    if s in ("rating",):
-        return f"{rng.randint(30, 50) / 10:.1f}"
-    if "phone" in s:
-        return f"555-{rng.randint(1000, 9999)}"
-    if "email" in s:
-        name = rng.choice(names or _FIRST_NAMES).split()[0].lower()
-        return f"{name}@example.com"
-    if s in ("movie_name",):
-        return rng.choice(_MOVIE_TITLES)
-    if s in ("cinema_name",):
-        return rng.choice(["Regal Cinemas", "AMC Downtown", "Cineworld Plaza"])
-    if s in ("restaurant",):
-        return rng.choice(["French Brasserie", "Blue Ribbon Diner", "Casa Verde"])
-    if s in ("hotel_name",):
-        return rng.choice(["Grand Plaza Hotel", "Lakeside Inn", "Harborview Suites"])
-    if s in ("location", "home_space"):
-        return rng.choice(_PLACES)
-    if s == "content":
-        return rng.choice(_REMINDER_CONTENTS + _MESSAGE_CONTENTS)
-    if s == "name" and names:
-        return rng.choice(names)
-    if s == "name":
-        return rng.choice(_EVENT_NAMES + _ALARM_NAMES)
-    if "condition" in s or s == "weather":
-        return rng.choice(["sunny", "cloudy", "light rain", "snow", "windy"])
-    if s == "temperature":
-        return f"{rng.randint(30, 90)}F"
-    if s == "status":
-        return rng.choice(["on", "off", "idle"])
-    if s == "if_repeat":
-        return rng.choice(["True", "False"])
-    return rng.choice(_EVENT_NAMES)
 
 
 def _words(text: str) -> int:
@@ -431,7 +327,7 @@ def _mock_fallback(rng, meta, req) -> str:
 def _mock_persona_details(rng, meta, req) -> str:
     return json.dumps(
         {
-            "location": rng.choice(_PLACES),
+            "location": rng.choice(PLACES),
             "affiliation": rng.choice(_AFFILIATIONS),
             "job_level": rng.choice(_JOB_LEVELS),
         }
@@ -440,7 +336,7 @@ def _mock_persona_details(rng, meta, req) -> str:
 
 def _mock_persona_intro(rng, meta, req) -> str:
     surname = meta.get("surname", "Doe")
-    first = meta.get("first_name") or rng.choice(_FIRST_NAMES)
+    first = meta.get("first_name") or rng.choice(FIRST_NAMES)
     status = meta.get("work_status", "employed")
     occupation = meta.get("occupation_title", "")
     hobby = rng.choice(_HOBBIES)
@@ -451,7 +347,7 @@ def _mock_persona_intro(rng, meta, req) -> str:
     else:
         work = "is retired"
     intro = (
-        f"{first} {surname} {work} and lives in {rng.choice(_PLACES)}. "
+        f"{first} {surname} {work} and lives in {rng.choice(PLACES)}. "
         f"{first} enjoys {hobby} on weekends and keeps a busy schedule "
         f"organized with a phone assistant."
     )
@@ -462,20 +358,20 @@ def _mock_context(rng, meta, req) -> str:
     """One JSON object mapping each service to its records, made in the order
     given; services listed in ``contact_dependent`` draw person names from
     the contacts made earlier in the same answer."""
-    today = _parse_today(meta)
+    today = parse_display_date(meta.get("today"))
     dependent = set(meta.get("contact_dependent", []))
     contact_names = None
     out = {}
     for spec in meta.get("services", []):
         service = spec["service"]
         if service == "contacts":
-            names = _FIRST_NAMES
+            names = FIRST_NAMES
         else:
             names = contact_names if service in dependent else None
         potential = spec.get("potential_values", {})
         out[service] = [
             {
-                slot: _mock_value(rng, slot, potential.get(slot, []), today, names)
+                slot: sample_value(rng, slot, potential.get(slot, []), today, names)
                 for slot in spec.get("record_slots", [])
             }
             for _ in range(spec.get("count", 2))
@@ -486,19 +382,19 @@ def _mock_context(rng, meta, req) -> str:
 
 
 def _mock_slot_values(rng, meta, req) -> str:
-    today = _parse_today(meta)
+    today = parse_display_date(meta.get("today"))
     names = meta.get("contact_names") or None
     out = {}
     for spec in meta.get("slots", []):
         key = f"{spec['service']}.{spec['intent']}.{spec['slot']}"
-        out[key] = _mock_value(
+        out[key] = sample_value(
             rng, spec["slot"], spec.get("potential_values", []), today, names
         )
     return json.dumps(out, ensure_ascii=False)
 
 
 def _mock_db_query(rng, meta, req) -> str:
-    today = _parse_today(meta)
+    today = parse_display_date(meta.get("today"))
     inputs = meta.get("input_values", {})
     result_slots = meta.get("result_slots", [])
     records = []
@@ -506,7 +402,7 @@ def _mock_db_query(rng, meta, req) -> str:
         record = dict(inputs)
         for slot in result_slots:
             if slot not in record:
-                record[slot] = _mock_value(rng, slot, [], today)
+                record[slot] = sample_value(rng, slot, [], today)
         records.append(record)
     return json.dumps(records, ensure_ascii=False)
 

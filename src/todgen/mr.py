@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 __all__ = [

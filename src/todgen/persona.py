@@ -10,9 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import random
-from dataclasses import dataclass, field, asdict
-from pathlib import Path
-from typing import Optional
+from dataclasses import dataclass, asdict
 
 from .config import PipelineConfig
 from .llm import (
@@ -34,7 +32,6 @@ __all__ = [
     "write_introduction",
     "generate_pool",
     "write_pool",
-    "read_pool",
 ]
 
 WORK_STATUSES = ("employed", "unemployed/retired", "student")
@@ -290,12 +287,3 @@ def write_pool(pool: list[Persona], path) -> None:
         for p in pool:
             f.write(json.dumps(p.to_dict(), ensure_ascii=False, sort_keys=True))
             f.write("\n")
-
-
-def read_pool(path) -> list[Persona]:
-    pool = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                pool.append(Persona.from_dict(json.loads(line)))
-    return pool

@@ -17,8 +17,6 @@ from .llm import (
     Backend,
     CompletionRequest,
     ContentError,
-    _mock_value,
-    _parse_today,
     complete_validated,
 )
 from .mr import (
@@ -32,7 +30,8 @@ from .mr import (
     resolve_referral,
 )
 from .sampler import COMPLEX_REFERRAL, SELF_CORRECTION, DialogSpecimen
-from .schema import IntentSpec, SchemaSet, ServiceSchema
+from .schema import IntentSpec, SchemaSet
+from .values import parse_display_date, sample_value
 
 __all__ = [
     "Plot",
@@ -203,6 +202,13 @@ def _value_args(values: dict, slots) -> tuple[Arg, ...]:
     return tuple(Arg(s, values[s]) for s in slots if s in values)
 
 
+def _index_referral(records: list, target: dict, slot: str) -> tuple[Arg, Arg]:
+    """``ordered_by``/``index`` args that pick out ``target`` among the
+    records sorted by ``slot``."""
+    ordered = sorted(records, key=lambda r: str(r.get(slot)))
+    return Arg("ordered_by", slot), Arg("index", ordered.index(target))
+
+
 def _build_context_initial(
     service: str,
     intent: IntentSpec,
@@ -225,12 +231,7 @@ def _build_context_initial(
     if ref_slots:
         getter_args = tuple(Arg(s, target[s]) for s in ref_slots)
     else:
-        order_slot = preference[0]
-        ordered = sorted(ctx.records, key=lambda r: str(r.get(order_slot)))
-        getter_args = (
-            Arg("ordered_by", order_slot),
-            Arg("index", ordered.index(target)),
-        )
+        getter_args = _index_referral(ctx.records, target, preference[0])
     # what the operation acts on / reports: keyword new values for state
     # changes, bare emphasis slots otherwise
     new_values = {
@@ -548,26 +549,28 @@ def _is_context_getter(action: Action, contexts: dict) -> bool:
     return action.head.startswith("get_") and action.head[len("get_"):] in contexts
 
 
+def _correctable(arg: Arg) -> bool:
+    """A keyword arg with a literal value a user could give and correct."""
+    return (
+        arg.keyword not in (None, "ordered_by", "index")
+        and isinstance(arg.value, (str, int))
+        and not isinstance(arg.value, bool)
+    )
+
+
 def _literal_keyword_args(action: Action, contexts: dict):
     """Args a user could plausibly correct: informed values, not the
     referring-expression filters that pick out a context record."""
-    def eligible(arg: Arg) -> bool:
-        return (
-            arg.keyword is not None
-            and arg.keyword not in ("ordered_by", "index")
-            and isinstance(arg.value, (str, int))
-            and not isinstance(arg.value, bool)
-        )
-
     if not _is_context_getter(action, contexts):
-        for arg in action.args:
-            if eligible(arg):
-                yield arg
+        yield from filter(_correctable, action.args)
     for seg in action.chain:
         if isinstance(seg, Call) and seg.name != "self_correction":
-            for arg in seg.args:
-                if eligible(arg):
-                    yield arg
+            yield from filter(_correctable, seg.args)
+
+
+def _with_action(turn: Turn, j: int, action: Action) -> Turn:
+    """``turn`` with its ``j``-th action replaced by ``action``."""
+    return Turn(turn.speaker, turn.actions[:j] + (action,) + turn.actions[j + 1:])
 
 
 def _replace_value_deep(action: Action, keyword: str, old, new) -> Action:
@@ -601,10 +604,9 @@ def _slot_potential_values(schemas: SchemaSet, services, slot: str):
 
 def _resample_value(rng: random.Random, slot: str, old, potential_values,
                     today: str):
+    day = parse_display_date(today)
     for _ in range(8):
-        candidate = _mock_value(
-            rng, slot, potential_values, _parse_today({"today": today})
-        )
+        candidate = sample_value(rng, slot, potential_values, day)
         if str(candidate) != str(old):
             return candidate
     return f"new {old}" if isinstance(old, str) else old + 1
@@ -620,100 +622,61 @@ def inject_phenomena(
     """Add self-correction and complex-referral surface forms to user turns."""
     turns = list(plot.turns)
     applied = []
+    user = [i for i, turn in enumerate(turns) if turn.speaker == "User"]
 
     if COMPLEX_REFERRAL in phenomena:
-        done = False
-        for i, turn in enumerate(turns):
-            if turn.speaker != "User" or done:
-                continue
-            new_actions = []
-            for action in turn.actions:
-                rewritten = _rewrite_as_referral(action, contexts)
-                if rewritten is not None and not done:
-                    new_actions.append(rewritten)
-                    done = True
-                else:
-                    new_actions.append(action)
-            turns[i] = Turn("User", tuple(new_actions))
-        if done:
+        # the first user action that can be rewritten as an index referral
+        site = next((
+            (i, j, rewritten)
+            for i in user
+            for j, action in enumerate(turns[i].actions)
+            if (rewritten := _rewrite_as_referral(action, contexts)) is not None
+        ), None)
+        if site:
+            i, j, rewritten = site
+            turns[i] = _with_action(turns[i], j, rewritten)
             applied.append(COMPLEX_REFERRAL)
         elif not contexts:
             raise PlotError("complex referral requires an app context")
 
     if SELF_CORRECTION in phenomena:
-        candidates = []
-        for i, turn in enumerate(turns):
-            if turn.speaker != "User":
-                continue
-            for j, action in enumerate(turn.actions):
-                for arg in _literal_keyword_args(action, contexts):
-                    candidates.append((i, j, arg))
+        candidates = [
+            (i, j, arg, False)
+            for i in user
+            for j, action in enumerate(turns[i].actions)
+            for arg in _literal_keyword_args(action, contexts)
+        ]
         if not candidates:
-            # fall back to a misspoken referring expression: the user first
-            # gives a wrong filter value, then corrects to the record's real
-            # one, so later references still resolve
-            for i, turn in enumerate(turns):
-                if turn.speaker != "User" or SELF_CORRECTION in applied:
-                    continue
-                for j, action in enumerate(turn.actions):
-                    if not _is_context_getter(action, contexts):
-                        continue
-                    filters = [
-                        a for a in action.args
-                        if a.keyword not in (None, "ordered_by", "index")
-                        and isinstance(a.value, (str, int))
-                        and not isinstance(a.value, bool)
-                    ]
-                    if not filters:
-                        continue
-                    arg = filters[rng.randrange(len(filters))]
-                    today = next((c.today for c in contexts.values()), "")
-                    wrong = _resample_value(
-                        rng, arg.keyword, arg.value,
-                        _slot_potential_values(schemas, plot.services, arg.keyword),
-                        today,
-                    )
-                    corrected = Action(
-                        action.head,
-                        tuple(
-                            Arg(a.keyword, wrong) if a is arg else a
-                            for a in action.args
-                        ),
-                        action.chain
-                        + (Call("self_correction", (Arg(arg.keyword, arg.value),)),),
-                    )
-                    actions = list(turn.actions)
-                    actions[j] = corrected
-                    turns[i] = Turn("User", tuple(actions))
-                    applied.append(SELF_CORRECTION)
-                    break
+            # a misspoken referring expression: the user first gives a wrong
+            # filter value, then corrects to the record's real one, so later
+            # references still resolve
+            candidates = next(filter(None, (
+                [(i, j, arg, True) for arg in action.args if _correctable(arg)]
+                for i in user
+                for j, action in enumerate(turns[i].actions)
+                if _is_context_getter(action, contexts)
+            )), [])
         if candidates:
-            i, j, arg = candidates[rng.randrange(len(candidates))]
+            i, j, arg, misspoken = candidates[rng.randrange(len(candidates))]
             today = next((c.today for c in contexts.values()), "")
             new_value = _resample_value(
-                rng,
-                arg.keyword,
-                arg.value,
-                _slot_potential_values(schemas, plot.services, arg.keyword),
-                today,
-            )
+                rng, arg.keyword, arg.value,
+                _slot_potential_values(schemas, plot.services, arg.keyword), today)
             action = turns[i].actions[j]
-            corrected = Action(
-                action.head,
-                action.args,
-                action.chain + (Call("self_correction", (Arg(arg.keyword, new_value),)),),
-            )
-            actions = list(turns[i].actions)
-            actions[j] = corrected
-            turns[i] = Turn("User", tuple(actions))
-            for k in range(i + 1, len(turns)):
-                turns[k] = Turn(
-                    turns[k].speaker,
-                    tuple(
+            if misspoken:
+                args = tuple(Arg(a.keyword, new_value) if a is arg else a
+                             for a in action.args)
+                said = arg.value
+            else:
+                args, said = action.args, new_value
+                # later turns carry the corrected value
+                for k in range(i + 1, len(turns)):
+                    turns[k] = Turn(turns[k].speaker, tuple(
                         _replace_value_deep(a, arg.keyword, arg.value, new_value)
-                        for a in turns[k].actions
-                    ),
-                )
+                        for a in turns[k].actions))
+            correction = Call("self_correction", (Arg(arg.keyword, said),))
+            turns[i] = _with_action(
+                turns[i], j, Action(action.head, args, action.chain + (correction,)))
             applied.append(SELF_CORRECTION)
     out = replace(
         plot,
@@ -731,8 +694,7 @@ def _rewrite_as_referral(action: Action, contexts: dict[str, AppContext]):
     def rewrite_getter(a: Action):
         if not a.head.startswith("get_"):
             return None
-        service = a.head[len("get_"):]
-        ctx = contexts.get(service)
+        ctx = contexts.get(a.head[len("get_"):])
         if ctx is None or not ctx.records:
             return None
         if a.has_arg("ordered_by") or a.has_arg("index"):
@@ -749,15 +711,8 @@ def _rewrite_as_referral(action: Action, contexts: dict[str, AppContext]):
         order_slot = filters[0].keyword
         if order_slot not in target:
             return None
-        ordered = sorted(ctx.records, key=lambda r: str(r.get(order_slot)))
-        idx = next(
-            i for i, r in enumerate(ordered) if r is target or r == target
-        )
         return Action(
-            a.head,
-            (Arg("ordered_by", order_slot), Arg("index", idx)),
-            a.chain,
-        )
+            a.head, _index_referral(ctx.records, target, order_slot), a.chain)
 
     direct = rewrite_getter(action)
     if direct is not None:
@@ -767,14 +722,9 @@ def _rewrite_as_referral(action: Action, contexts: dict[str, AppContext]):
         if isinstance(arg.value, Action):
             nested = rewrite_getter(arg.value)
             if nested is not None:
-                return Action(
-                    action.head,
-                    tuple(
-                        Arg(x.keyword, nested) if x is arg else x
-                        for x in action.args
-                    ),
-                    action.chain,
-                )
+                args = tuple(Arg(x.keyword, nested) if x is arg else x
+                             for x in action.args)
+                return Action(action.head, args, action.chain)
     return None
 
 
@@ -786,20 +736,6 @@ _MIRROR_UNSAFE_TERMS = (
     "damn", "hell", "stupid", "idiot", "hate", "kill", "sucks", "crap",
     "terrible people", "race", "gender", "politics", "immigrants",
 )
-
-
-def _turn_has_phenomenon(turn: Turn) -> bool:
-    for action in turn.actions:
-        for seg in action.chain:
-            if isinstance(seg, Call) and seg.name == "self_correction":
-                return True
-        if action.head.startswith("get_") and action.has_arg("ordered_by"):
-            return True
-        for arg in action.args:
-            if isinstance(arg.value, Action):
-                if _turn_has_phenomenon(Turn(turn.speaker, (arg.value,))):
-                    return True
-    return False
 
 
 def _confirmed_intent(action: Action):
@@ -876,7 +812,7 @@ def assign_default_styles(
         if turn.speaker != "System":
             continue
         prev_user = plot.turns[i - 1] if i > 0 else None
-        if prev_user is not None and _turn_has_phenomenon(prev_user):
+        if prev_user is not None and derive_phenomena((prev_user,)):
             verbosity = "high"
         elif any(
             a.head.endswith("ask_confirm")
@@ -1040,27 +976,25 @@ def _compositional_initial_slots(
 
 
 def derive_phenomena(turns) -> tuple:
-    """Phenomenon labels recomputed from user-turn surface forms."""
-    phenomena = set()
+    """Phenomenon labels recomputed from user-turn surface forms, nested
+    actions included."""
+    found = set()
+
+    def walk(action: Action) -> None:
+        if any(isinstance(s, Call) and s.name == "self_correction"
+               for s in action.chain):
+            found.add(SELF_CORRECTION)
+        if action.head.startswith("get_") and action.has_arg("ordered_by"):
+            found.add(COMPLEX_REFERRAL)
+        for arg in action.args:
+            if isinstance(arg.value, Action):
+                walk(arg.value)
+
     for turn in turns:
-        if turn.speaker != "User":
-            continue
-        for action in turn.actions:
-            if any(
-                isinstance(s, Call) and s.name == "self_correction"
-                for s in action.chain
-            ):
-                phenomena.add(SELF_CORRECTION)
-            if action.head.startswith("get_") and action.has_arg("ordered_by"):
-                phenomena.add(COMPLEX_REFERRAL)
-            for arg in action.args:
-                if (
-                    isinstance(arg.value, Action)
-                    and arg.value.head.startswith("get_")
-                    and arg.value.has_arg("ordered_by")
-                ):
-                    phenomena.add(COMPLEX_REFERRAL)
-    return tuple(sorted(phenomena))
+        if turn.speaker == "User":
+            for action in turn.actions:
+                walk(action)
+    return tuple(sorted(found))
 
 
 def derive_labels(plot: Plot, schemas: SchemaSet) -> dict:

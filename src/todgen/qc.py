@@ -7,7 +7,6 @@ deterministic checks can drop one.
 
 from __future__ import annotations
 
-import datetime as dt
 import json
 import re
 from dataclasses import dataclass, field
@@ -19,6 +18,7 @@ from .llm import Backend, CompletionRequest, ContentError, complete_validated
 from .mr import collect_literals, print_action
 from .realizer import StyledResponse, render_template
 from .runner import run_dialogs
+from .values import WEEKDAYS
 
 __all__ = [
     "QCReport",
@@ -29,7 +29,6 @@ __all__ = [
     "value_variants",
 ]
 
-_WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 
 # leak patterns: internal representations that must never surface verbatim
 _ISO_DATETIME = re.compile(r"\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}")
@@ -83,7 +82,7 @@ def check_unformatted(dp: Datapoint) -> tuple[str, list]:
         for m in _ISO_DATE.finditer(text):
             start = m.start()
             prefix = text[max(0, start - 4):start]
-            if not any(prefix.startswith(w) for w in _WEEKDAYS):
+            if not any(prefix.startswith(w) for w in WEEKDAYS):
                 details.append(f"turn {i} ({label}): bare ISO date {m.group(1)!r}")
                 break
         if _PLACEHOLDER.search(text):

@@ -8,7 +8,7 @@ import functools
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from .config import PipelineConfig, data_path
 from .context import AppContext
@@ -19,7 +19,7 @@ from .llm import (
     complete_validated,
     parse_json_object,
 )
-from .mr import Action, Arg, Call, Turn, collect_literals, print_action
+from .mr import Action, Call, Turn, collect_literals, print_action
 from .persona import Persona
 from .plot import Plot
 

@@ -121,9 +121,7 @@ def sample_kind(
     return kind, frozenset(phenomena)
 
 
-def enumerate_compositional_pool(
-    schemas: SchemaSet, transitive: bool = True
-) -> list[CompositionalPair]:
+def enumerate_compositional_pool(schemas: SchemaSet) -> list[CompositionalPair]:
     """All valid (outer input slot, inner result slot) matches: the outer
     input slot name must equal the inner result slot or appear in its alias
     closure (the outer slot is a super-set of the inner result)."""
@@ -131,7 +129,7 @@ def enumerate_compositional_pool(
     for inner_svc in schemas.services:
         for inner_intent in inner_svc.intent_operations:
             for s_out in inner_intent.result_slots:
-                superset_names = inner_svc.alias_closure(s_out, transitive)
+                superset_names = inner_svc.alias_closure(s_out)
                 for outer_svc in schemas.services:
                     for outer_intent in outer_svc.intent_operations:
                         if (outer_svc.service_name, outer_intent.name) == (
@@ -159,10 +157,8 @@ def enumerate_compositional_pool(
     return pool
 
 
-def sample_compositional(
-    rng: random.Random, schemas: SchemaSet, transitive: bool = True
-) -> CompositionalPair:
-    pool = enumerate_compositional_pool(schemas, transitive)
+def sample_compositional(rng: random.Random, schemas: SchemaSet) -> CompositionalPair:
+    pool = enumerate_compositional_pool(schemas)
     if not pool:
         raise SamplerError("no valid compositional intent pairs in the schema set")
     return pool[rng.randrange(len(pool))]
@@ -217,7 +213,7 @@ def sample_specimen(
     matched = None
     if kind == "Compositional":
         try:
-            pair = sample_compositional(rng, schemas, config.alias_transitive)
+            pair = sample_compositional(rng, schemas)
         except SamplerError:
             kind = "Single"  # degenerate schema set; fall back
             pair = None

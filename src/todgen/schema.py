@@ -9,9 +9,9 @@ meta-indicator typos fail loudly at load time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Optional, Union
+from typing import Iterable, Union
 
 __all__ = [
     "SlotSpec",
@@ -45,13 +45,10 @@ class SlotSpec:
 class IntentSpec:
     name: str
     description: str = ""
-    require_input_values: bool = True
     require_context: bool = False
     require_confirmation: bool = False
     return_list: bool = False
     report_result: bool = False
-    check_on_input: bool = False
-    can_refer_to_input_slot: bool = False
     minimum_input_slot_number: int = 0
     minimum_initial_slots: tuple[str, ...] = ()
     summary_emphasis_slots: tuple[str, ...] = ()
@@ -90,9 +87,9 @@ class ServiceSchema:
     def has_slot(self, name: str) -> bool:
         return any(s.name == name for s in self.slots)
 
-    def alias_closure(self, slot_name: str, transitive: bool = True) -> set[str]:
-        """Names the slot may stand in for: itself, its aliases, and (when
-        transitive) aliases of alias slots defined in this service."""
+    def alias_closure(self, slot_name: str) -> set[str]:
+        """Names the slot may stand in for: itself, its aliases, and the
+        aliases of alias slots defined in this service, transitively."""
         closure = {slot_name}
         stack = [slot_name]
         while stack:
@@ -102,8 +99,7 @@ class ServiceSchema:
             for parent in self.slot(current).alias:
                 if parent not in closure:
                     closure.add(parent)
-                    if transitive:
-                        stack.append(parent)
+                    stack.append(parent)
         return closure
 
 
@@ -111,13 +107,10 @@ _SLOT_FIELDS = {"name", "description", "potential_values", "alias"}
 _INTENT_FIELDS = {
     "name",
     "description",
-    "require_input_values",
     "require_context",
     "require_confirmation",
     "return_list",
     "report_result",
-    "check_on_input",
-    "can_refer_to_input_slot",
     "minimum_input_slot_number",
     "minimum_initial_slots",
     "summary_emphasis_slots",
@@ -165,13 +158,10 @@ def _parse_intent(obj: dict, path: str) -> IntentSpec:
         raise SchemaError(f"{path}.name", "intent name must be a nonempty string")
     kwargs = {"name": name, "description": obj.get("description", "")}
     for flag in (
-        "require_input_values",
         "require_context",
         "require_confirmation",
         "return_list",
         "report_result",
-        "check_on_input",
-        "can_refer_to_input_slot",
     ):
         if flag in obj:
             if not isinstance(obj[flag], bool):
@@ -252,22 +242,9 @@ def _validate_service(svc: ServiceSchema):
             )
 
 
-def load_schema(source: Union[str, Path, IO, bytes]) -> ServiceSchema:
-    """Load one service schema from a path, file object, or raw JSON text."""
-    if isinstance(source, Path) or (
-        isinstance(source, str)
-        and "\n" not in source
-        and not source.lstrip().startswith("{")
-    ):
-        text = Path(source).read_text(encoding="utf-8")
-    elif isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif hasattr(source, "read"):
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    else:
-        text = str(source)
+def load_schema(source: Union[Path, str]) -> ServiceSchema:
+    """Load one service schema from a file path or from JSON text."""
+    text = source.read_text(encoding="utf-8") if isinstance(source, Path) else source
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:

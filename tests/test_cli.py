@@ -76,6 +76,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="dialogue_count"):
             load_config(path)
 
+    def test_alias_transitive_is_unknown_key(self, tmp_path):
+        path = tmp_path / "old.yaml"
+        path.write_text("alias_transitive: false\n")
+        with pytest.raises(ConfigError, match="alias_transitive"):
+            load_config(path)
+
 
 def load_backend_yaml(tmp_path, backend: str):
     """``load_config`` on a file whose ``user_backend`` is ``backend``."""
@@ -255,6 +261,28 @@ class TestStageChaining:
         assert payload["stage"] == "qc"
         assert payload["error"] == "DatasetError"
         assert "dialogs.jsonl:2: malformed datapoint" in payload["message"]
+
+    @pytest.mark.parametrize("checkpoint, field, stage", [
+        ("plots.jsonl", "plot", "realize"),
+        ("contexts.jsonl", "contexts", "plots"),
+        ("personas.jsonl", None, "contexts"),  # the whole row is 5
+    ])
+    def test_malformed_upstream_row_fails_cleanly(self, runner, workdir,
+                                                  checkpoint, field, stage):
+        base = ["--config", str(workdir / "config.yaml")]
+        for name in ("personas", "contexts", "plots"):
+            run(runner, [name] + base)
+        path = workdir / "out" / checkpoint
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = 5 if field is None else {**json.loads(lines[1]), field: 5}
+        lines[1] = json.dumps(row) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        result = runner.invoke(main, [stage] + base, catch_exceptions=False)
+        assert result.exit_code == 1
+        payload = json.loads(result.output.strip().splitlines()[-1])
+        assert payload["stage"] == stage
+        assert payload["error"] == "DatasetError"
+        assert f"{checkpoint}:2: malformed row" in payload["message"]
 
     def test_stats_uses_filtered_dataset_when_present(self, runner, workdir):
         base = ["--config", str(workdir / "config.yaml")]

@@ -30,9 +30,9 @@ from todgen.llm import (
     __version__,
     _normalize_for_match,
     complete_validated,
-    format_date,
     make_backend,
 )
+from todgen.values import format_date
 
 
 def req(tag="user_turn", metadata=None, content="hello"):

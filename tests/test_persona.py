@@ -6,6 +6,7 @@ import collections
 import pytest
 
 from todgen.config import PipelineConfig
+from todgen.dataset import read_jsonl
 from todgen.llm import (
     Backend,
     ContentError,
@@ -24,7 +25,6 @@ from todgen.persona import (
     SurnameTable,
     generate_pool,
     persona_rng,
-    read_pool,
     sample_demographics,
     sample_occupation,
     speaking_habit_for,
@@ -199,6 +199,6 @@ class TestGeneratePool:
     def test_pool_round_trip(self, pool, tmp_path):
         path = tmp_path / "pool.jsonl"
         write_pool(pool, path)
-        back = read_pool(path)
+        back = read_jsonl(path, Persona.from_dict, "persona")
         assert [p.to_dict() for p in back] == [p.to_dict() for p in pool]
         assert isinstance(back[0], Persona)

@@ -12,6 +12,8 @@ from todgen.mr import (
     Action,
     Arg,
     Call,
+    FieldAccess,
+    Turn,
     parse_action,
     parse_action_list,
     print_action,
@@ -25,6 +27,7 @@ from todgen.plot import (
     build_single_plot,
     choose_referring_expression,
     derive_labels,
+    derive_phenomena,
     inject_phenomena,
     merge_compound,
     query_database,
@@ -752,6 +755,47 @@ class TestDeriveLabels:
             assert labels["kind"] == plot.kind
             assert set(labels["phenomena"]) == set(plot.phenomena)
             assert set(labels["services"]) == set(plot.services)
+
+
+class TestDerivePhenomena:
+    """Labels come from one walk over user-turn actions, nested action args
+    at any depth included."""
+
+    @staticmethod
+    def _weather_turn(date_value) -> Turn:
+        return Turn("User", (Action("weather_get_weather", (Arg("date", date_value),)),))
+
+    def test_nested_self_correction_is_labelled(self):
+        inner = Action(
+            "get_calendar_events", (Arg("name", "Art Class"),),
+            (Call("calendar_events_check", (Arg("date", None),)),
+             Call("self_correction", (Arg("name", "Book Club"),)),
+             FieldAccess("date")),
+        )
+        assert derive_phenomena([self._weather_turn(inner)]) == ("self_correction",)
+
+    def _two_deep_referral_turn(self) -> Turn:
+        getter = Action(
+            "get_alarms", (Arg("ordered_by", "time"), Arg("index", 0)),
+            (Call("alarms_check", (Arg("time", None),)), FieldAccess("time")),
+        )
+        middle = Action("calendar_events_find", (Arg("start_time", getter),),
+                        (FieldAccess("date"),))
+        return self._weather_turn(middle)
+
+    def test_referral_two_levels_deep_is_labelled(self):
+        turns = [self._two_deep_referral_turn()]
+        assert derive_phenomena(turns) == ("complex_referral",)
+
+    def test_system_turn_after_nested_phenomenon_is_high(self):
+        request = Turn("System", (Action("weather_request_information",
+                                         (Arg("location", None),)),))
+        plain = self._weather_turn("Fri 2026-05-01")
+        styled = assign_default_styles(
+            Plot(turns=[plain, request, self._two_deep_referral_turn(), request]),
+            CFG, {},
+        )
+        assert [v for v, _ in styled.default_styles] == ["low", "high"]
 
 
 class TestPlotSerialization:

@@ -80,19 +80,6 @@ class TestCompositionalPool:
             assert p.inner_slot in inner.result_slots
             assert p.outer_slot in outer.input_slots
 
-    def test_alias_closure_expands_matches(self):
-        transitive = set(map(tuple, (
-            (p.outer_service, p.outer_intent, p.outer_slot,
-             p.inner_service, p.inner_intent, p.inner_slot)
-            for p in enumerate_compositional_pool(SCHEMAS, transitive=True)
-        )))
-        direct = set(map(tuple, (
-            (p.outer_service, p.outer_intent, p.outer_slot,
-             p.inner_service, p.inner_intent, p.inner_slot)
-            for p in enumerate_compositional_pool(SCHEMAS, transitive=False)
-        )))
-        assert direct <= transitive
-
     def test_sample_is_deterministic(self):
         a = sample_compositional(derive_rng(3), SCHEMAS)
         b = sample_compositional(derive_rng(3), SCHEMAS)

@@ -100,7 +100,29 @@ def test_alias_closure_transitive():
         ],
     }))
     assert svc.alias_closure("a") == {"a", "b", "c"}
-    assert svc.alias_closure("a", transitive=False) == {"a", "b"}
+
+
+def test_single_service_alias_cycle_rejected():
+    with pytest.raises(SchemaError, match="alias cycle detected"):
+        load_schema(json.dumps({
+            "service_name": "t",
+            "intent_operations": [],
+            "slots": [
+                {"name": "a", "alias": ["b"]},
+                {"name": "b", "alias": ["a"]},
+            ],
+        }))
+
+
+@pytest.mark.parametrize(
+    "flag", ["require_input_values", "check_on_input", "can_refer_to_input_slot"])
+def test_removed_meta_indicator_is_unknown_field(flag):
+    with pytest.raises(SchemaError, match=f"{flag}: unknown field"):
+        load_schema(json.dumps({
+            "service_name": "t",
+            "intent_operations": [{"name": "x", flag: True}],
+            "slots": [],
+        }))
 
 
 def test_validate_set_duplicate_service():
