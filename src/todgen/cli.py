@@ -34,9 +34,9 @@ from . import qc as qc_mod
 from .config import ConfigError, PipelineConfig, load_config
 from .context import generate_contexts, sample_current_time, AppContext
 from .dataset import Datapoint, compute_stats, read_dataset, read_jsonl, \
-    split as split_corpus, stats_to_text, write_dataset
+    split as split_corpus, stats_to_text, write_dataset, write_jsonl
 from .llm import make_backend
-from .persona import Persona, generate_pool, write_pool
+from .persona import Persona, generate_pool
 from .plot import Plot, build_plot
 from .realizer import realize_dialog
 from .rng import derive_rng
@@ -107,12 +107,6 @@ def _checkpoint(path: Path):
         tmp.unlink(missing_ok=True)
 
 
-def _write_jsonl(path: Path, rows) -> None:
-    with _checkpoint(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
-        for row in rows:
-            f.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
-
-
 def _common_options(fn):
     fn = click.option("--config", type=click.Path(), default=None,
                       help="YAML config file.")(fn)
@@ -144,7 +138,7 @@ def stage_personas(cfg: PipelineConfig) -> list:
     llm = make_backend(cfg.user_backend)
     pool = generate_pool(cfg, llm)
     with _checkpoint(out / "personas.jsonl") as tmp:
-        write_pool(pool, tmp)
+        write_jsonl(tmp, (p.to_dict() for p in pool))
     return pool
 
 
@@ -176,7 +170,8 @@ def stage_contexts(cfg: PipelineConfig) -> list:
         }
 
     rows = run_dialogs(context_row, range(cfg.dialog_count), cfg.max_concurrency)
-    _write_jsonl(out / "contexts.jsonl", rows)
+    with _checkpoint(out / "contexts.jsonl") as tmp:
+        write_jsonl(tmp, rows)
     return rows
 
 
@@ -215,7 +210,8 @@ def stage_plots(cfg: PipelineConfig) -> list:
         }
 
     rows = run_dialogs(plot_row, range(len(ctx_rows)), cfg.max_concurrency)
-    _write_jsonl(out / "plots.jsonl", rows)
+    with _checkpoint(out / "plots.jsonl") as tmp:
+        write_jsonl(tmp, rows)
     return rows
 
 
@@ -257,7 +253,8 @@ def stage_qc(cfg: PipelineConfig) -> list:
     dps = read_dataset(dialogs)
     llm = make_backend(cfg.evaluator_backend)
     reports = qc_mod.run_qc(dps, llm, cfg)
-    _write_jsonl(out / "qc_report.jsonl", (r.to_dict() for r in reports))
+    with _checkpoint(out / "qc_report.jsonl") as tmp:
+        write_jsonl(tmp, (r.to_dict() for r in reports))
     dropped = {r.datapoint_id for r in reports if r.disposition == "drop"}
     keep = (dp.id not in dropped for dp in dps)
     # read_dataset made one datapoint of each non-blank line, in order
@@ -306,25 +303,22 @@ def stage_split(cfg: PipelineConfig) -> dataset_mod.SplitManifest:
     return manifest
 
 
-_STAGES = (
-    ("personas", stage_personas),
-    ("contexts", stage_contexts),
-    ("plots", stage_plots),
-    ("realize", stage_realize),
-    ("qc", stage_qc),
-    ("stats", stage_stats),
-    ("split", stage_split),
-)
+_STAGES = {  # in run-all order
+    "personas": stage_personas,
+    "contexts": stage_contexts,
+    "plots": stage_plots,
+    "realize": stage_realize,
+    "qc": stage_qc,
+    "stats": stage_stats,
+    "split": stage_split,
+}
 
 
 def _run_stage(name: str, cfg: PipelineConfig):
-    for stage_name, fn in _STAGES:
-        if stage_name == name:
-            try:
-                return fn(cfg)
-            except _STAGE_ERRORS as e:
-                _fail(name, e)
-    raise ValueError(f"unknown stage {name!r}")
+    try:
+        return _STAGES[name](cfg)
+    except _STAGE_ERRORS as e:
+        _fail(name, e)
 
 
 def _make_command(stage_name: str, help_text: str):
@@ -358,11 +352,8 @@ def run_all(config, seed, count, services, backend, out):
         cfg = _build_config(config, seed, count, services, backend, out)
     except _STAGE_ERRORS as e:
         _fail("run-all", e)
-    for stage_name, fn in _STAGES:
-        try:
-            fn(cfg)
-        except _STAGE_ERRORS as e:
-            _fail(stage_name, e)
+    for stage_name in _STAGES:
+        _run_stage(stage_name, cfg)
         click.echo(f"{stage_name}: done")
     click.echo(f"pipeline complete; artifacts in {cfg.output_dir}")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import datetime as dt
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -118,10 +119,25 @@ class PipelineConfig:
     )
 
     def __post_init__(self):
-        if abs(sum(self.kind_ratios) - 1.0) > 1e-9:
-            raise ConfigError(f"kind_ratios must sum to 1, got {self.kind_ratios}")
-        if abs(sum(self.work_status_weights) - 1.0) > 1e-9:
-            raise ConfigError("work_status_weights must sum to 1")
+        for name in ("kind_ratios", "work_status_weights"):
+            weights = getattr(self, name)
+            if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
+                raise ConfigError(
+                    f"{name} must be non-negative and sum to 1, got {weights}")
+        # an empty pool or corpus only fails stages later (contexts, split)
+        for name in ("persona_pool_size", "dialog_count"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
+        try:
+            start, end = (dt.date.fromisoformat(d) for d in self.time_window)
+            ordered = start <= end
+        except (TypeError, ValueError):
+            ordered = False
+        if not ordered:
+            raise ConfigError(
+                "time_window must be two quoted ISO dates with start <= end, "
+                f"got {self.time_window}")
         for name in ("self_correction_rate", "complex_referral_rate",
                      "no_context_probability", "optional_slot_probability",
                      "test_fraction"):

@@ -31,6 +31,7 @@ from .values import format_date
 __all__ = [
     "AppContext",
     "ContextError",
+    "context_today",
     "sample_current_time",
     "generate_contexts",
     "context_services",
@@ -64,6 +65,11 @@ class AppContext:
             time=d["time"],
             records=list(d.get("records", [])),
         )
+
+
+def context_today(contexts: dict[str, AppContext]) -> str:
+    """The display date a dialog's contexts share; "" when it has none."""
+    return next((c.today for c in contexts.values()), "")
 
 
 def sample_current_time(

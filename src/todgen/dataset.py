@@ -20,6 +20,7 @@ __all__ = [
     "Datapoint",
     "SplitManifest",
     "DatasetError",
+    "write_jsonl",
     "write_dataset",
     "read_jsonl",
     "read_dataset",
@@ -96,10 +97,14 @@ class Datapoint:
 
 
 def write_dataset(dps: list, sink: Union[str, Path]) -> None:
-    with open(sink, "w", encoding="utf-8") as f:
-        for dp in dps:
-            f.write(json.dumps(dp.to_dict(), ensure_ascii=False, sort_keys=True))
-            f.write("\n")
+    write_jsonl(sink, (dp.to_dict() for dp in dps))
+
+
+def write_jsonl(path: Union[str, Path], rows) -> None:
+    """One key-sorted JSON line per row, non-ASCII kept as is."""
+    with open(path, "w", encoding="utf-8") as f:
+        for row in rows:
+            f.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def read_jsonl(source: Union[str, Path], decode: Callable, what: str) -> list:
@@ -131,17 +136,6 @@ class SplitManifest:
     test_ids: tuple
     zero_shot_ids: tuple
 
-    @property
-    def ratios(self) -> tuple[float, float, float]:
-        total = len(self.train_ids) + len(self.test_ids) + len(self.zero_shot_ids)
-        if total == 0:
-            return (0.0, 0.0, 0.0)
-        return (
-            len(self.train_ids) / total,
-            len(self.test_ids) / total,
-            len(self.zero_shot_ids) / total,
-        )
-
     def to_dict(self) -> dict:
         return {
             "held_out_service": self.held_out_service,
@@ -151,17 +145,6 @@ class SplitManifest:
             "test": list(self.test_ids),
             "zero_shot": list(self.zero_shot_ids),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SplitManifest":
-        return cls(
-            held_out_service=d["held_out_service"],
-            seed=d["seed"],
-            test_fraction=d["test_fraction"],
-            train_ids=tuple(d["train"]),
-            test_ids=tuple(d["test"]),
-            zero_shot_ids=tuple(d["zero_shot"]),
-        )
 
 
 def split(

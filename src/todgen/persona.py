@@ -31,7 +31,6 @@ __all__ = [
     "sample_demographics",
     "write_introduction",
     "generate_pool",
-    "write_pool",
 ]
 
 WORK_STATUSES = ("employed", "unemployed/retired", "student")
@@ -280,10 +279,3 @@ def generate_pool(config: PipelineConfig, llm: Backend) -> list[Persona]:
         else:
             raise PersonaError(f"could not generate persona {index}")
     return pool
-
-
-def write_pool(pool: list[Persona], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for p in pool:
-            f.write(json.dumps(p.to_dict(), ensure_ascii=False, sort_keys=True))
-            f.write("\n")

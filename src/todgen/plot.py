@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Optional
 
 from .config import PipelineConfig
-from .context import AppContext
+from .context import AppContext, context_today
 from .llm import (
     Backend,
     CompletionRequest,
@@ -35,7 +35,6 @@ from .values import parse_display_date, sample_value
 
 __all__ = [
     "Plot",
-    "QueryResult",
     "PlotError",
     "build_plot",
     "build_single_plot",
@@ -114,17 +113,6 @@ class Plot:
         return plot
 
 
-@dataclass
-class QueryResult:
-    service: str
-    intent: str
-    records: list
-
-    def __post_init__(self):
-        if len(self.records) != 5:
-            raise PlotError(f"query must return 5 records, got {len(self.records)}")
-
-
 def choose_referring_expression(
     target: dict, records: list, preference: tuple[str, ...]
 ) -> tuple[str, ...]:
@@ -151,7 +139,7 @@ def query_database(
     llm: Backend,
     config: PipelineConfig,
     today: str = "",
-) -> QueryResult:
+) -> list[dict]:
     """One backend completion producing 5 result records consistent with
     every input value."""
     if not (intent.report_result or intent.return_list):
@@ -175,7 +163,7 @@ def query_database(
         },
     )
 
-    def parse(completion: str) -> QueryResult:
+    def parse(completion: str) -> list[dict]:
         try:
             records = json.loads(completion)
         except (json.JSONDecodeError, RecursionError) as e:
@@ -192,7 +180,7 @@ def query_database(
             for slot in intent.result_slots:
                 if slot not in r:
                     raise ContentError(f"record missing result slot {slot!r}")
-        return QueryResult(service=service, intent=intent.name, records=records)
+        return records
 
     return complete_validated(llm, request, parse, config.content_retries,
                               PlotError)
@@ -200,6 +188,12 @@ def query_database(
 
 def _value_args(values: dict, slots) -> tuple[Arg, ...]:
     return tuple(Arg(s, values[s]) for s in slots if s in values)
+
+
+def _input_values(spec: DialogSpecimen, service: str, intent: IntentSpec) -> dict:
+    """The specimen's value of each input slot that has one."""
+    return {s: v for s in intent.input_slots
+            if (v := spec.value(service, intent.name, s)) is not None}
 
 
 def _index_referral(records: list, target: dict, slot: str) -> tuple[Arg, Arg]:
@@ -213,12 +207,15 @@ def _build_context_initial(
     service: str,
     intent: IntentSpec,
     spec: DialogSpecimen,
-    ctx: AppContext,
+    contexts: dict[str, AppContext],
     config: PipelineConfig,
     prefix: str,
 ) -> tuple[Action, Action, dict]:
-    """User initial action and the system-side target reference for a
-    context-interaction intent."""
+    """User initial action, the system-side target reference and the target
+    record of a context-interaction intent."""
+    ctx = contexts.get(service)
+    if ctx is None:
+        raise PlotError(f"{service}.{intent.name} requires an app context")
     idx = spec.target_index(service, intent.name)
     if idx is None or idx >= len(ctx.records):
         raise PlotError(f"no context target for {service}.{intent.name}")
@@ -263,134 +260,104 @@ def build_single_plot(
     prefix: str = "",
     initial_slots: Optional[tuple[str, ...]] = None,
 ) -> Plot:
-    """Slot-filling plot for one intent: initial query, one information
-    request per missing required slot, optional confirmation, result
-    reporting, and a terminal completion notice."""
+    """Plot for one intent: an initial query (a context record reference, or
+    slot values plus one information request per missing required slot),
+    optional confirmation, result reporting, and a terminal completion
+    notice."""
     service, intent_name = service_intent
-    svc = schemas.service(service)
-    intent = svc.intent(intent_name)
-    ctx = contexts.get(service)
-    today = next((c.today for c in contexts.values()), "")
-    turns: list[Turn] = []
+    intent = schemas.service(service).intent(intent_name)
 
+    # the opening turns, the action the intent performs (what is confirmed
+    # and notified), and the records whose values are reported
     if intent.require_context:
-        if ctx is None:
-            raise PlotError(f"{service}.{intent_name} requires an app context")
-        user_action, target_action, target = _build_context_initial(
-            service, intent, spec, ctx, config, prefix
+        user_action, subject, target = _build_context_initial(
+            service, intent, spec, contexts, config, prefix
         )
-        turns.append(Turn("User", (user_action,)))
-        final_actions: list[Action] = []
-        if intent.require_confirmation:
+        turns = [Turn("User", (user_action,))]
+        records = [target] if intent.report_result else []
+    else:
+        values = _input_values(spec, service, intent)
+        missing_values = [s for s in intent.required_slots if s not in values]
+        if missing_values:
+            raise PlotError(
+                f"specimen lacks a value for required slot {missing_values[0]!r}"
+            )
+        if initial_slots is None:
+            chosen: list[str] = list(intent.minimum_initial_slots)
+            for slot in intent.required_slots:
+                if slot not in chosen and rng.random() < 0.5:
+                    chosen.append(slot)
+            for slot in intent.optional_slots:
+                if slot in values and rng.random() < config.optional_slot_probability:
+                    chosen.append(slot)
+            pending = [s for s in intent.input_slots
+                       if s not in chosen and s in values]
+            while len(chosen) < intent.minimum_input_slot_number and pending:
+                chosen.append(pending.pop(0))
+            initial_slots = tuple(s for s in intent.input_slots if s in chosen)
+        used_slots = tuple(
+            s for s in intent.input_slots
+            if s in values and (s in initial_slots or s in intent.required_slots)
+        )
+        head = f"{prefix}{intent_name}"
+        turns = [Turn("User", (Action(head, _value_args(values, initial_slots)),))]
+        for slot in intent.required_slots:
+            if slot in initial_slots:
+                continue
             turns.append(
                 Turn(
                     "System",
-                    (Action(f"{prefix}ask_confirm", (Arg(None, target_action),)),),
+                    (Action(f"{prefix}request_information", (Arg(slot, None),)),),
                 )
             )
-            turns.append(Turn("User", (Action(f"{prefix}confirm"),)))
-        if intent.report_result:
-            emphasis = intent.summary_emphasis_slots or intent.result_slots
-            final_actions.append(
-                Action(
-                    f"{prefix}inform_result",
-                    tuple(Arg(s, target[s]) for s in emphasis if s in target),
+            turns.append(
+                Turn(
+                    "User",
+                    (Action(f"{prefix}inform_information",
+                            (Arg(slot, values[slot]),)),),
                 )
             )
-        if intent.performs_operation:
-            final_actions.append(
-                Action(f"{prefix}notify_done", (Arg(None, target_action),))
-            )
-        if final_actions:
-            turns.append(Turn("System", tuple(final_actions)))
-        return Plot(
-            turns=turns,
-            services=(service,),
-            intents=(f"{service}.{intent_name}",),
-        )
+        subject = Action(intent_name, _value_args(values, used_slots))
+        records = []
+        if intent.report_result or intent.return_list:
+            inputs = {s: values[s] for s in used_slots}
+            # a pre-generated result value (compositional inner) constrains
+            # the query
+            for slot in intent.result_slots:
+                fixed = spec.value(service, intent_name, slot)
+                if fixed is not None:
+                    inputs[slot] = fixed
+            records = query_database(service, intent, inputs, llm, config,
+                                     context_today(contexts))
+            if not intent.return_list:
+                records = records[:1]
 
-    # plain slot-filling intent
-    values = {
-        slot: spec.value(service, intent_name, slot)
-        for slot in intent.input_slots
-        if spec.value(service, intent_name, slot) is not None
-    }
-    missing_values = [s for s in intent.required_slots if s not in values]
-    if missing_values:
-        raise PlotError(
-            f"specimen lacks a value for required slot {missing_values[0]!r}"
-        )
-    if initial_slots is None:
-        chosen: list[str] = list(intent.minimum_initial_slots)
-        for slot in intent.required_slots:
-            if slot not in chosen and rng.random() < 0.5:
-                chosen.append(slot)
-        for slot in intent.optional_slots:
-            if slot in values and rng.random() < config.optional_slot_probability:
-                chosen.append(slot)
-        pending = [s for s in intent.input_slots
-                   if s not in chosen and s in values]
-        while len(chosen) < intent.minimum_input_slot_number and pending:
-            chosen.append(pending.pop(0))
-        initial_slots = tuple(s for s in intent.input_slots if s in chosen)
-    used_slots = tuple(
-        s for s in intent.input_slots
-        if s in values and (s in initial_slots or s in intent.required_slots)
-    )
-    head = f"{prefix}{intent_name}"
-    turns.append(
-        Turn("User", (Action(head, _value_args(values, initial_slots)),))
-    )
-    for slot in intent.required_slots:
-        if slot in initial_slots:
-            continue
-        turns.append(
-            Turn(
-                "System",
-                (Action(f"{prefix}request_information", (Arg(slot, None),)),),
-            )
-        )
-        turns.append(
-            Turn(
-                "User",
-                (Action(f"{prefix}inform_information", (Arg(slot, values[slot]),)),),
-            )
-        )
-    full_action = Action(intent_name, _value_args(values, used_slots))
     if intent.require_confirmation:
         turns.append(
-            Turn("System", (Action(f"{prefix}ask_confirm", (Arg(None, full_action),)),))
+            Turn("System", (Action(f"{prefix}ask_confirm", (Arg(None, subject),)),))
         )
         turns.append(Turn("User", (Action(f"{prefix}confirm"),)))
     final_actions = []
-    if intent.report_result or intent.return_list:
-        inputs = {s: values[s] for s in used_slots}
-        # a pre-generated result value (compositional inner) constrains the query
-        for slot in intent.result_slots:
-            fixed = spec.value(service, intent_name, slot)
-            if fixed is not None:
-                inputs[slot] = fixed
-        result = query_database(service, intent, inputs, llm, config, today)
-        emphasis = intent.summary_emphasis_slots or intent.result_slots
-        if intent.return_list:
-            listed = {
-                s: "; ".join(str(r[s]) for r in result.records)
-                for s in emphasis
-            }
-            final_actions.append(
-                Action(f"{prefix}summary", tuple(Arg(k, v) for k, v in listed.items()))
+    emphasis = intent.summary_emphasis_slots or intent.result_slots
+    if len(records) > 1:  # a returned list is summarized slot by slot
+        final_actions.append(
+            Action(
+                f"{prefix}summary",
+                tuple(Arg(s, "; ".join(str(r[s]) for r in records))
+                      for s in emphasis),
             )
-        else:
-            first = result.records[0]
-            final_actions.append(
-                Action(
-                    f"{prefix}inform_result",
-                    tuple(Arg(s, first[s]) for s in emphasis if s in first),
-                )
+        )
+    elif records:
+        first = records[0]
+        final_actions.append(
+            Action(
+                f"{prefix}inform_result",
+                tuple(Arg(s, first[s]) for s in emphasis if s in first),
             )
+        )
     if intent.performs_operation:
         final_actions.append(
-            Action(f"{prefix}notify_done", (Arg(None, full_action),))
+            Action(f"{prefix}notify_done", (Arg(None, subject),))
         )
     if final_actions:
         turns.append(Turn("System", tuple(final_actions)))
@@ -418,20 +385,17 @@ def _is_notify_only(turn: Turn) -> bool:
     return all(a.head.endswith("notify_done") for a in turn.actions)
 
 
-def _confirm_first(actions) -> tuple[Action, ...]:
-    ranked = sorted(
-        actions, key=lambda a: 0 if a.head.endswith("ask_confirm") else 1
-    )
-    return tuple(ranked)
-
-
 def _normalize_alternation(turns: list) -> list:
+    """Join consecutive turns of one speaker; a joined system turn puts its
+    confirmations first."""
     merged: list[Turn] = []
     for turn in turns:
         if merged and merged[-1].speaker == turn.speaker:
             actions = merged[-1].actions + turn.actions
             if turn.speaker == "System":
-                actions = _confirm_first(actions)
+                actions = tuple(sorted(
+                    actions, key=lambda a: 0 if a.head.endswith("ask_confirm") else 1
+                ))
             merged[-1] = Turn(turn.speaker, actions)
         else:
             merged.append(turn)
@@ -455,39 +419,32 @@ def merge_compound(a: Plot, b: Plot) -> Plot:
         if q and q[0].speaker == "User":
             turns.append(q.popleft())
 
+    def notify_after_confirm(confirming, done) -> bool:
+        """``done`` has only its completion notice left and ``confirming``
+        asks for confirmation: emit that exchange, then the notice joined
+        to ``confirming``'s next system turn."""
+        if not (_is_confirm_turn(confirming[0]) and _is_notify_only(done[0])
+                and len(done) == 1):
+            return False
+        notify = done.popleft()
+        emit_pair(confirming)  # ask_confirm + user confirm
+        if confirming:
+            notify = Turn("System", confirming.popleft().actions + notify.actions)
+        turns.append(notify)
+        return True
+
     while qa and qb:
-        asys, bsys = qa[0], qb[0]
-        if _requests_info(asys) and _requests_info(bsys):
+        if _requests_info(qa[0]) and _requests_info(qb[0]):
             emit_pair(qa)
             emit_pair(qb)
             continue
-        if _is_confirm_turn(asys) and _is_notify_only(bsys) and len(qb) == 1:
-            notify = qb.popleft()
-            emit_pair(qa)  # ask_confirm + user confirm
-            if qa:
-                nxt = qa.popleft()
-                turns.append(Turn("System", nxt.actions + notify.actions))
-            else:
-                turns.append(notify)
+        if notify_after_confirm(qa, qb) or notify_after_confirm(qb, qa):
             continue
-        if _is_confirm_turn(bsys) and _is_notify_only(asys) and len(qa) == 1:
-            notify = qa.popleft()
-            emit_pair(qb)
-            if qb:
-                nxt = qb.popleft()
-                turns.append(Turn("System", nxt.actions + notify.actions))
-            else:
-                turns.append(notify)
-            continue
-        sys_a, sys_b = qa.popleft(), qb.popleft()
-        turns.append(Turn("System", _confirm_first(sys_a.actions + sys_b.actions)))
-        answers: tuple = ()
-        if qa and qa[0].speaker == "User":
-            answers += qa.popleft().actions
-        if qb and qb[0].speaker == "User":
-            answers += qb.popleft().actions
-        if answers:
-            turns.append(Turn("User", answers))
+        # both system turns, then both answers: _normalize_alternation
+        # joins each pair, confirmations first
+        turns.extend((qa.popleft(), qb.popleft()))
+        turns.extend([q.popleft() for q in (qa, qb)
+                      if q and q[0].speaker == "User"])
     turns.extend(qa)
     turns.extend(qb)
     plot = Plot(
@@ -545,8 +502,11 @@ def merge_compositional(
 # ---------------------------------------------------------------------------
 
 
-def _is_context_getter(action: Action, contexts: dict) -> bool:
-    return action.head.startswith("get_") and action.head[len("get_"):] in contexts
+def _getter_context(action: Action, contexts: dict) -> Optional[AppContext]:
+    """The app context a ``get_<service>`` action reads, if there is one."""
+    if action.head.startswith("get_"):
+        return contexts.get(action.head[len("get_"):])
+    return None
 
 
 def _correctable(arg: Arg) -> bool:
@@ -561,7 +521,7 @@ def _correctable(arg: Arg) -> bool:
 def _literal_keyword_args(action: Action, contexts: dict):
     """Args a user could plausibly correct: informed values, not the
     referring-expression filters that pick out a context record."""
-    if not _is_context_getter(action, contexts):
+    if _getter_context(action, contexts) is None:
         yield from filter(_correctable, action.args)
     for seg in action.chain:
         if isinstance(seg, Call) and seg.name != "self_correction":
@@ -619,9 +579,9 @@ def inject_phenomena(
     contexts: dict[str, AppContext],
     schemas: SchemaSet,
 ) -> Plot:
-    """Add self-correction and complex-referral surface forms to user turns."""
+    """Add self-correction and complex-referral surface forms to user turns
+    and label the plot with the phenomena its turns then show."""
     turns = list(plot.turns)
-    applied = []
     user = [i for i, turn in enumerate(turns) if turn.speaker == "User"]
 
     if COMPLEX_REFERRAL in phenomena:
@@ -635,7 +595,6 @@ def inject_phenomena(
         if site:
             i, j, rewritten = site
             turns[i] = _with_action(turns[i], j, rewritten)
-            applied.append(COMPLEX_REFERRAL)
         elif not contexts:
             raise PlotError("complex referral requires an app context")
 
@@ -654,14 +613,14 @@ def inject_phenomena(
                 [(i, j, arg, True) for arg in action.args if _correctable(arg)]
                 for i in user
                 for j, action in enumerate(turns[i].actions)
-                if _is_context_getter(action, contexts)
+                if _getter_context(action, contexts) is not None
             )), [])
         if candidates:
             i, j, arg, misspoken = candidates[rng.randrange(len(candidates))]
-            today = next((c.today for c in contexts.values()), "")
             new_value = _resample_value(
                 rng, arg.keyword, arg.value,
-                _slot_potential_values(schemas, plot.services, arg.keyword), today)
+                _slot_potential_values(schemas, plot.services, arg.keyword),
+                context_today(contexts))
             action = turns[i].actions[j]
             if misspoken:
                 args = tuple(Arg(a.keyword, new_value) if a is arg else a
@@ -677,11 +636,12 @@ def inject_phenomena(
             correction = Call("self_correction", (Arg(arg.keyword, said),))
             turns[i] = _with_action(
                 turns[i], j, Action(action.head, args, action.chain + (correction,)))
-            applied.append(SELF_CORRECTION)
     out = replace(
         plot,
         turns=turns,
-        phenomena=tuple(sorted(set(plot.phenomena) | set(applied))),
+        # labels reflect what the turns contain: an ambiguous context can
+        # force an index referral even when none was sampled
+        phenomena=derive_phenomena(turns),
         default_styles=list(plot.default_styles),
     )
     out.validate()
@@ -692,9 +652,7 @@ def _rewrite_as_referral(action: Action, contexts: dict[str, AppContext]):
     """Rewrite a slot-filter context getter into an ordered_by/index referral
     that resolves to the same record."""
     def rewrite_getter(a: Action):
-        if not a.head.startswith("get_"):
-            return None
-        ctx = contexts.get(a.head[len("get_"):])
+        ctx = _getter_context(a, contexts)
         if ctx is None or not ctx.records:
             return None
         if a.has_arg("ordered_by") or a.has_arg("index"):
@@ -778,11 +736,10 @@ def _mirroring_unsafe(
                     return True
             if isinstance(arg.value, Action) and scan(arg.value):
                 return True
-        if action.head.startswith("get_") and not action.has_arg("index"):
-            service = action.head[len("get_"):]
-            ctx = contexts.get(service)
+        ctx = _getter_context(action, contexts)
+        if ctx is not None and not action.has_arg("index"):
             filters = [a for a in action.args if a.keyword and a.value is not None]
-            if ctx is not None and filters:
+            if filters:
                 matches = [
                     r for r in ctx.records
                     if all(str(r.get(f.keyword)) == str(f.value) for f in filters)
@@ -838,17 +795,13 @@ def assign_default_styles(
 # ---------------------------------------------------------------------------
 
 
-def _intent_prefix(schemas: SchemaSet, service: str, intent: str,
-                   multi: bool) -> str:
-    if multi:
-        return f"{service}_"
-    # single-intent plots stay unprefixed unless the intent name is ambiguous
-    owners = [
+def _intent_owners(schemas: SchemaSet, intent: str) -> list[str]:
+    """Services that define an intent named ``intent``."""
+    return [
         svc.service_name
         for svc in schemas.services
         if any(i.name == intent for i in svc.intent_operations)
     ]
-    return f"{service}_" if len(owners) > 1 else ""
 
 
 def _build_inner_action(
@@ -865,11 +818,8 @@ def _build_inner_action(
     intent = svc.intent(inner_intent_name)
     prefix = f"{inner_service}_"
     if intent.require_context:
-        ctx = contexts.get(inner_service)
-        if ctx is None:
-            raise PlotError(f"{inner_service} context missing for inner intent")
         _, target_action, _ = _build_context_initial(
-            inner_service, intent, spec, ctx, config, prefix
+            inner_service, intent, spec, contexts, config, prefix
         )
         # reference form: getter + service-prefixed check + field access
         inner = Action(
@@ -879,11 +829,7 @@ def _build_inner_action(
              FieldAccess(inner_slot)),
         )
         return inner, ()
-    values = {
-        s: spec.value(inner_service, inner_intent_name, s)
-        for s in intent.input_slots
-        if spec.value(inner_service, inner_intent_name, s) is not None
-    }
+    values = _input_values(spec, inner_service, intent)
     inner = Action(
         f"{prefix}{inner_intent_name}",
         _value_args(values, intent.input_slots),
@@ -905,10 +851,10 @@ def build_plot(
     config: PipelineConfig,
 ) -> Plot:
     """Full plot for a specimen: construct, merge, inject phenomena, style."""
-    multi = spec.kind != "Single"
     if spec.kind == "Single":
         service, intent = spec.intents[0]
-        prefix = _intent_prefix(schemas, service, intent, multi=False)
+        # unprefixed unless the intent name is ambiguous
+        prefix = f"{service}_" if len(_intent_owners(schemas, intent)) > 1 else ""
         plot = build_single_plot(
             spec, (service, intent), schemas, contexts, rng, llm, config,
             prefix=prefix,
@@ -940,9 +886,6 @@ def build_plot(
                      f"{spec.intents[1][0]}.{spec.intents[1][1]}"),
         )
     plot = inject_phenomena(plot, spec.phenomena, rng, contexts, schemas)
-    # labels always reflect what the turns actually contain (an ambiguous
-    # context can force an index referral even when none was sampled)
-    plot = replace(plot, phenomena=derive_phenomena(plot.turns))
     plot = assign_default_styles(plot, config, contexts)
     plot.validate()
     return plot
@@ -1021,11 +964,7 @@ def derive_labels(plot: Plot, schemas: SchemaSet) -> dict:
             for intent in svc.intent_operations:
                 if action.head == f"{svc.service_name}_{intent.name}":
                     return svc.service_name, intent.name
-        owners = [
-            svc.service_name
-            for svc in schemas.services
-            if any(i.name == action.head for i in svc.intent_operations)
-        ]
+        owners = _intent_owners(schemas, action.head)
         if len(owners) == 1:
             return owners[0], action.head
         raise PlotError(f"cannot attribute action {action.head!r} to a service")
@@ -1035,14 +974,8 @@ def derive_labels(plot: Plot, schemas: SchemaSet) -> dict:
         pairs.append(action_service_intent(action))
         for arg in action.args:
             if isinstance(arg.value, Action):
-                inner = arg.value
-                base = Action(
-                    inner.head,
-                    tuple(a for a in inner.args if not isinstance(a.value, Action)),
-                    inner.chain,
-                )
                 try:
-                    pairs.append(action_service_intent(base))
+                    pairs.append(action_service_intent(arg.value))
                 except PlotError:
                     pass
     services = tuple(dict.fromkeys(s for s, _ in pairs))

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .config import PipelineConfig
-from .context import AppContext
+from .context import AppContext, context_today
 from .llm import (
     Backend,
     CompletionRequest,
@@ -89,18 +89,6 @@ class DialogSpecimen:
             "context_targets": self.context_targets,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DialogSpecimen":
-        return cls(
-            kind=d["kind"],
-            intents=tuple(tuple(i) for i in d["intents"]),
-            phenomena=frozenset(d.get("phenomena", [])),
-            persona_id=d["persona_id"],
-            matched_slot=tuple(d["matched_slot"]) if d.get("matched_slot") else None,
-            slot_values=dict(d.get("slot_values", {})),
-            context_targets=dict(d.get("context_targets", {})),
-        )
-
 
 def sample_kind(
     rng: random.Random,
@@ -108,10 +96,9 @@ def sample_kind(
     self_correction_rate: float = 0.19,
     complex_referral_rate: float = 0.151,
 ) -> tuple[str, frozenset]:
-    """Kind from the configured categorical (compound, compositional, single);
-    local phenomena flags drawn independently."""
-    if any(r < 0 for r in kind_ratios) or abs(sum(kind_ratios) - 1.0) > 1e-9:
-        raise SamplerError(f"invalid kind ratios {kind_ratios}")
+    """Kind from the configured categorical (compound, compositional, single),
+    whose ratios ``PipelineConfig`` checks; local phenomena flags drawn
+    independently."""
     kind = rng.choices(KINDS, weights=kind_ratios)[0]
     phenomena = set()
     if rng.random() < self_correction_rate:
@@ -328,10 +315,7 @@ def generate_slot_values(
                      schemas.service(inner_svc_name))
 
     if fill:
-        today = ""
-        for ctx in contexts.values():
-            today = ctx.today
-            break
+        today = context_today(contexts)
         contact_names = [
             str(r.get("name", ""))
             for r in (contexts.get("contacts").records if contexts.get("contacts") else [])

@@ -70,6 +70,40 @@ class TestConfig:
             PipelineConfig(services=("alarms", "contacts", "messages"))
         PipelineConfig(services=("alarms", "banking"))
 
+    def test_invalid_kind_ratios_rejected(self):
+        with pytest.raises(ConfigError, match="kind_ratios must be"):
+            PipelineConfig(kind_ratios=(0.5, 0.5, 0.5))
+        with pytest.raises(ConfigError, match="kind_ratios must be"):
+            PipelineConfig(kind_ratios=(-0.1, 0.6, 0.5))
+
+    @pytest.mark.parametrize("overrides", [
+        {"kind_ratios": (1.1, -0.1, 0.0)},
+        {"work_status_weights": (1.5, -0.5, 0.0)},
+    ])
+    def test_negative_weights_rejected(self, overrides):
+        with pytest.raises(ConfigError, match="must be non-negative"):
+            PipelineConfig(**overrides)
+
+    @pytest.mark.parametrize("window", [
+        ("2026-12-31", "2025-01-01"),  # reversed
+        ("2025-01-01",),               # one date
+        ("New Year", "2025-12-31"),    # not ISO
+    ])
+    def test_bad_time_window_rejected(self, window):
+        with pytest.raises(ConfigError, match="time_window must be"):
+            PipelineConfig(time_window=window)
+
+    def test_unquoted_yaml_dates_rejected(self, tmp_path):
+        path = tmp_path / "dates.yaml"
+        path.write_text("time_window: [2025-01-01, 2026-12-31]\n")
+        with pytest.raises(ConfigError, match="quoted ISO dates"):
+            load_config(path)
+
+    @pytest.mark.parametrize("name", ["persona_pool_size", "dialog_count"])
+    def test_empty_pool_or_corpus_rejected(self, name):
+        with pytest.raises(ConfigError, match=f"{name} must be at least 1"):
+            PipelineConfig(**{name: 0})
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("dialogue_count: 5\n")
@@ -343,6 +377,20 @@ class TestOptions:
         assert payload["error"] == "ConfigError"
         assert payload["message"] == "content_retries must be at least 1, got 0"
         assert not out.exists()
+
+    def test_negative_kind_ratio_fails_before_any_stage(self, runner, workdir):
+        (workdir / "config.yaml").write_text("kind_ratios: [1.1, -0.1, 0.0]\n")
+        out = workdir / "out"
+        result = runner.invoke(main, ["run-all", "--config",
+                                      str(workdir / "config.yaml"),
+                                      "--out", str(out), "--count", "3"])
+        assert result.exit_code == 1
+        payload = json.loads(result.output.strip().splitlines()[-1])
+        assert payload == {
+            "stage": "run-all", "error": "ConfigError",
+            "message": "kind_ratios must be non-negative and sum to 1, "
+                       "got (1.1, -0.1, 0.0)"}
+        assert not (out / "personas.jsonl").exists()
 
     def test_bad_config_fails_cleanly(self, runner, tmp_path):
         bad = tmp_path / "bad.yaml"

@@ -6,7 +6,7 @@ import collections
 import pytest
 
 from todgen.config import PipelineConfig
-from todgen.dataset import read_jsonl
+from todgen.dataset import read_jsonl, write_jsonl
 from todgen.llm import (
     Backend,
     ContentError,
@@ -29,7 +29,6 @@ from todgen.persona import (
     sample_occupation,
     speaking_habit_for,
     write_introduction,
-    write_pool,
 )
 
 CFG = PipelineConfig(seed=17, persona_pool_size=30)
@@ -198,7 +197,7 @@ class TestGeneratePool:
 
     def test_pool_round_trip(self, pool, tmp_path):
         path = tmp_path / "pool.jsonl"
-        write_pool(pool, path)
+        write_jsonl(path, (p.to_dict() for p in pool))
         back = read_jsonl(path, Persona.from_dict, "persona")
         assert [p.to_dict() for p in back] == [p.to_dict() for p in pool]
         assert isinstance(back[0], Persona)

@@ -427,22 +427,22 @@ class TestChooseReferringExpression:
 class TestQueryDatabase:
     def test_five_records_echo_conditions(self):
         intent = SCHEMAS.service("movie").intent("get_movie_time")
-        result = query_database(
+        records = query_database(
             "movie", intent, {"movie_name": "Joker", "date": "Tue 2026-12-29"},
             LLM, CFG, today="Mon 2026-12-28",
         )
-        assert len(result.records) == 5
-        for r in result.records:
+        assert len(records) == 5
+        for r in records:
             assert r["movie_name"] == "Joker"
             assert "showtime" in r and "cinema_name" in r
 
     def test_fixed_result_value_is_respected(self):
         intent = SCHEMAS.service("movie").intent("get_movie_time")
-        result = query_database(
+        records = query_database(
             "movie", intent, {"movie_name": "Joker", "showtime": "19:00"},
             LLM, CFG,
         )
-        assert all(str(r["showtime"]) == "19:00" for r in result.records)
+        assert all(str(r["showtime"]) == "19:00" for r in records)
 
     def test_prompt_carries_today(self):
         """The mock draws dates from ``today``, so a real model must see it
@@ -468,9 +468,9 @@ class TestQueryDatabase:
     def test_non_object_records_are_asked_again(self):
         backend = NonObjectRecords(bad=1)
         intent = SCHEMAS.service("movie").intent("get_movie_time")
-        result = query_database("movie", intent, {"movie_name": "Joker"},
-                                backend, CFG)
-        assert all(r["movie_name"] == "Joker" for r in result.records)
+        records = query_database("movie", intent, {"movie_name": "Joker"},
+                                 backend, CFG)
+        assert all(r["movie_name"] == "Joker" for r in records)
         assert backend.calls == 2
 
     def test_non_object_records_exhaust_as_plot_error(self):
