@@ -192,31 +192,16 @@ def _system_action_info(turn: Turn) -> list:
     ]
 
 
-def build_history(plot: Plot, realized: list) -> str:
-    """Prompt-ready conversation history: the seeded opening exchange plus
-    one line per realized turn, system turns shown in their default style."""
-    lines = list(_SEEDED_EXCHANGE)
-    for turn, utterance in zip(plot.turns, realized):
-        actions = [print_action(a) for a in turn.actions]
-        if turn.speaker == "User":
-            if not isinstance(utterance, str):
-                raise RealizerError("history misaligned: expected user utterance")
-            lines.append(
-                "user: "
-                + json.dumps({"actions": actions, "message": utterance},
-                             ensure_ascii=False)
-            )
-        else:
-            if not isinstance(utterance, StyledResponse):
-                raise RealizerError("history misaligned: expected styled response")
-            lines.append(
-                "assistant: "
-                + json.dumps(
-                    {"actions": actions, "message": utterance.default_utterance},
-                    ensure_ascii=False,
-                )
-            )
-    return "\n".join(lines)
+def build_history(turn: Turn, utterance) -> str:
+    """One prompt-ready history line for a realized turn: its actions and its
+    utterance, a system turn shown in its default style."""
+    if turn.speaker == "User":
+        role, message = "user", utterance
+    else:
+        role, message = "assistant", utterance.default_utterance
+    actions = [print_action(a) for a in turn.actions]
+    return f"{role}: " + json.dumps({"actions": actions, "message": message},
+                                    ensure_ascii=False)
 
 
 def _context_summary(contexts: dict[str, AppContext]) -> str:
@@ -330,29 +315,28 @@ def realize_dialog(
     if len(plot.default_styles) != len(plot.system_turns):
         raise RealizerError("plot is missing default styles; assign them first")
     situation = ", ".join(plot.services)
+    history = list(_SEEDED_EXCHANGE)  # one line per realized turn follows
+    default_styles = iter(plot.default_styles)
     realized: list = []
     last_user = ""
-    system_index = 0
     for turn in plot.turns:
-        history = build_history(plot, realized)
         if turn.speaker == "User":
-            utterance = realize_user_turn(
-                turn, history, persona, contexts, situation, user_llm, config
+            utterance = last_user = realize_user_turn(
+                turn, "\n".join(history), persona, contexts, situation,
+                user_llm, config,
             )
-            last_user = utterance
-            realized.append(utterance)
         else:
-            response = realize_system_turn(
+            utterance = realize_system_turn(
                 turn,
-                history,
+                "\n".join(history),
                 situation,
-                plot.default_styles[system_index],
+                next(default_styles),
                 last_user,
                 system_llm,
                 config,
             )
-            realized.append(response)
-            system_index += 1
+        realized.append(utterance)
+        history.append(build_history(turn, utterance))
     record = DialogRecord(turns=realized)
     record.validate_against(plot)
     return record

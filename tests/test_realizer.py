@@ -12,6 +12,7 @@ from todgen.cli import main
 from todgen.config import PipelineConfig, data_path
 from todgen.dataset import read_dataset
 from todgen.llm import Backend, make_backend
+from todgen.mr import print_action
 from todgen.persona import Persona
 from todgen.plot import assign_default_styles, build_single_plot
 from todgen.realizer import (
@@ -171,22 +172,46 @@ class TestBuildHistory:
             variants={k: f"resp [{k}]" for k in SIX_KEYS},
             default_key="verbosity_low no_mirroring",
         )
-        history = build_history(plot, ["I want a ticket.", styled])
-        lines = history.splitlines()
-        assert lines[0].startswith('user: {"actions": ["hello()"]')
-        assert lines[1].startswith('assistant: {"actions": ["offer_help()"]')
-        user_line = json.loads(lines[2].split("user: ", 1)[1])
-        assert user_line["message"] == "I want a ticket."
-        assert user_line["actions"][0].startswith("purchase_tickets(")
-        system_line = json.loads(lines[3].split("assistant: ", 1)[1])
-        assert system_line["message"] == "resp [verbosity_low no_mirroring]"
+        seeded = realizer._SEEDED_EXCHANGE
+        assert seeded[0].startswith('user: {"actions": ["hello()"]')
+        assert seeded[1].startswith('assistant: {"actions": ["offer_help()"]')
+        user_line = build_history(plot.turns[0], "I want a ticket.")
+        assert user_line.startswith("user: ") and "\n" not in user_line
+        user_entry = json.loads(user_line.split("user: ", 1)[1])
+        assert user_entry["message"] == "I want a ticket."
+        assert user_entry["actions"][0].startswith("purchase_tickets(")
+        system_line = build_history(plot.turns[1], styled)
+        system_entry = json.loads(system_line.split("assistant: ", 1)[1])
+        assert system_entry == {
+            "actions": [print_action(a) for a in plot.turns[1].actions],
+            "message": "resp [verbosity_low no_mirroring]",
+        }
 
-    def test_misaligned_history_raises(self):
+    def test_turn_k_sees_seeded_exchange_and_k_earlier_lines(self, monkeypatch):
+        histories = []
+        render = realizer.render_template
+
+        def recording_render(name, bindings):
+            histories.append(bindings["history"])
+            return render(name, bindings)
+
+        monkeypatch.setattr(realizer, "render_template", recording_render)
         plot = ticket_plot()
-        with pytest.raises(RealizerError, match="misaligned"):
-            build_history(plot, [StyledResponse(
-                variants={k: "x" for k in SIX_KEYS}, default_key=SIX_KEYS[0]
-            )])
+        record = realize_dialog(plot, PERSONA, {}, LLM, LLM, CFG)
+        assert len(histories) == len(plot.turns) > 2
+        for k, history in enumerate(histories):
+            lines = history.split("\n")
+            assert lines[:2] == list(realizer._SEEDED_EXCHANGE)
+            assert len(lines) == 2 + k
+            for line, turn, realized in zip(lines[2:], plot.turns,
+                                            record.turns):
+                role, payload = line.split(": ", 1)
+                user = turn.speaker == "User"
+                assert role == ("user" if user else "assistant")
+                assert json.loads(payload) == {
+                    "actions": [print_action(a) for a in turn.actions],
+                    "message": realized if user else realized.default_utterance,
+                }
 
 
 class TestRealizeUserTurn:
