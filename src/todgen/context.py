@@ -73,7 +73,7 @@ def context_today(contexts: dict[str, AppContext]) -> str:
 
 
 def sample_current_time(
-    rng: random.Random, window: tuple[str, str] = ("2025-01-01", "2026-12-31")
+    rng: random.Random, window: tuple[str, str]
 ) -> dt.datetime:
     """Uniform datetime in the window; the weekday is always derived from the
     date, never sampled."""

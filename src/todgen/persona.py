@@ -128,7 +128,7 @@ def sample_occupation(
     rng: random.Random,
     table: OccupationTable,
     llm: Backend,
-    weights: tuple[float, float, float] = (0.6, 0.2, 0.2),
+    weights: tuple[float, float, float],
 ) -> dict:
     """Step 1: work status, industry occupation, and backend-filled details."""
     if not table.rows:
@@ -210,7 +210,7 @@ def speaking_habit_for(mbti: str, job_level: str) -> str:
 
 
 def write_introduction(
-    partial: dict, llm: Backend, retries: int = 3
+    partial: dict, llm: Backend, retries: int
 ) -> dict:
     """Step 3: backend-written introduction with fictionalized details."""
     surname = partial.get("surname", "")

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .config import PipelineConfig
 from .dataset import Datapoint
@@ -133,29 +132,29 @@ def _covers(utterance: str, value) -> bool:
     return any(v in folded for v in value_variants(value))
 
 
+def _checked_turns(dp: Datapoint):
+    """(values, label, utterance) per turn: the literal slot values of the
+    turn's actions and the utterance that must carry them. A system turn is
+    checked in its high-verbosity mirroring variant only (the most
+    complete)."""
+    for turn, realized in zip(dp.plot.turns, dp.dialog.turns):
+        values = [v for action in turn.actions for v in collect_literals(action)]
+        if isinstance(realized, str):
+            yield values, "user", realized
+        else:
+            label = "verbosity_high mirroring"
+            yield values, label, realized.variants[label]
+
+
 def check_slot_coverage(dp: Datapoint) -> tuple[str, list]:
     """Every literal slot value in a turn's actions must appear in the turn's
-    utterance; system turns are checked against the high-verbosity mirroring
-    variant only (the most complete)."""
-    details = []
-    for turn, realized in zip(dp.plot.turns, dp.dialog.turns):
-        values = []
-        for action in turn.actions:
-            values.extend(collect_literals(action))
-        if not values:
-            continue
-        if isinstance(realized, str):
-            utterance = realized
-            label = "user"
-        else:
-            utterance = realized.variants["verbosity_high mirroring"]
-            label = "verbosity_high mirroring"
-        for value in values:
-            if not _covers(utterance, value):
-                details.append(
-                    f"value {value!r} missing from {label} utterance "
-                    f"{utterance!r}"
-                )
+    utterance."""
+    details = [
+        f"value {value!r} missing from {label} utterance {utterance!r}"
+        for values, label, utterance in _checked_turns(dp)
+        for value in values
+        if not _covers(utterance, value)
+    ]
     return ("fail" if details else "pass"), details
 
 
@@ -187,16 +186,8 @@ def evaluate_consistency(
             "actions_and_utterances": _actions_and_utterances(dp),
         },
     )
-    pairs = []
-    for turn, realized in zip(dp.plot.turns, dp.dialog.turns):
-        values = []
-        for action in turn.actions:
-            values.extend(collect_literals(action))
-        utterance = (
-            realized if isinstance(realized, str)
-            else realized.variants["verbosity_high mirroring"]
-        )
-        pairs.append({"utterance": utterance, "values": values})
+    pairs = [{"utterance": utterance, "values": values}
+             for values, _, utterance in _checked_turns(dp)]
     request = CompletionRequest(
         messages=(("user", prompt),),
         tag="qc_eval",
@@ -217,11 +208,7 @@ def evaluate_consistency(
         return "unparseable", "no parseable verdict from the evaluator"
 
 
-def run_qc(
-    dps: list,
-    llm: Optional[Backend],
-    config: PipelineConfig,
-) -> list:
+def run_qc(dps: list, llm: Backend, config: PipelineConfig) -> list:
     """Full QC pass. Deterministic failures drop; evaluator disagreement (or
     an unparseable evaluator) flags for review, never drops. Runs up to
     ``config.max_concurrency`` datapoints at once; reports keep input order."""
@@ -236,7 +223,7 @@ def run_qc(
         details.extend(d)
         if any(v == "fail" for v in verdicts.values()):
             disposition = "drop"
-        elif llm is not None:
+        else:
             verdict, rationale = evaluate_consistency(dp, llm, config)
             verdicts["consistency"] = (
                 "pass" if verdict == "consistent" else "fail"
@@ -246,8 +233,6 @@ def run_qc(
             else:
                 disposition = "flag-for-review"
                 details.append(rationale)
-        else:
-            disposition = "keep"
         return QCReport(
             datapoint_id=dp.id,
             verdicts=verdicts,

@@ -337,6 +337,5 @@ def realize_dialog(
             )
         realized.append(utterance)
         history.append(build_history(turn, utterance))
-    record = DialogRecord(turns=realized)
-    record.validate_against(plot)
-    return record
+    # built in plot order, so aligned by construction; Datapoint checks it
+    return DialogRecord(turns=realized)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass, field
@@ -92,9 +93,9 @@ class DialogSpecimen:
 
 def sample_kind(
     rng: random.Random,
-    kind_ratios: tuple[float, float, float] = (0.405, 0.209, 0.386),
-    self_correction_rate: float = 0.19,
-    complex_referral_rate: float = 0.151,
+    kind_ratios: tuple[float, float, float],
+    self_correction_rate: float,
+    complex_referral_rate: float,
 ) -> tuple[str, frozenset]:
     """Kind from the configured categorical (compound, compositional, single),
     whose ratios ``PipelineConfig`` checks; local phenomena flags drawn
@@ -108,10 +109,12 @@ def sample_kind(
     return kind, frozenset(phenomena)
 
 
-def enumerate_compositional_pool(schemas: SchemaSet) -> list[CompositionalPair]:
+@functools.cache
+def enumerate_compositional_pool(schemas: SchemaSet) -> tuple[CompositionalPair, ...]:
     """All valid (outer input slot, inner result slot) matches: the outer
     input slot name must equal the inner result slot or appear in its alias
-    closure (the outer slot is a super-set of the inner result)."""
+    closure (the outer slot is a super-set of the inner result). Computed
+    once per schema set."""
     pool = []
     for inner_svc in schemas.services:
         for inner_intent in inner_svc.intent_operations:
@@ -141,7 +144,7 @@ def enumerate_compositional_pool(schemas: SchemaSet) -> list[CompositionalPair]:
                                         inner_slot=s_out,
                                     )
                                 )
-    return pool
+    return tuple(pool)
 
 
 def sample_compositional(rng: random.Random, schemas: SchemaSet) -> CompositionalPair:
@@ -196,6 +199,7 @@ def sample_specimen(
     plain_pairs = [p for p in all_pairs if not _is_context_intent(schemas, p)]
     want_referral = COMPLEX_REFERRAL in phenomena and bool(context_pairs)
     no_context_dialog = (not want_referral) and rng.random() < config.no_context_probability
+    pool = plain_pairs if no_context_dialog else all_pairs
 
     matched = None
     if kind == "Compositional":
@@ -203,33 +207,29 @@ def sample_specimen(
             pair = sample_compositional(rng, schemas)
         except SamplerError:
             kind = "Single"  # degenerate schema set; fall back
-            pair = None
-        if pair is not None:
+        else:
             intents = (
                 (pair.outer_service, pair.outer_intent),
                 (pair.inner_service, pair.inner_intent),
             )
             matched = (pair.inner_slot, pair.outer_slot)
     if kind == "Compound":
-        pool = plain_pairs if no_context_dialog else all_pairs
-        first = _sample_intent(rng, pool if not want_referral else context_pairs)
+        first = _sample_intent(rng, context_pairs if want_referral else pool)
         second = _sample_intent(rng, [p for p in pool if p != first])
         intents = (first, second)
     elif kind == "Single":
-        pool = plain_pairs if no_context_dialog else all_pairs
         intents = (_sample_intent(rng, context_pairs if want_referral else pool),)
 
-    if want_referral and not any(
-        _is_context_intent(schemas, p) and p in context_pairs for p in intents
+    # a referral needs one of the intents to act on a context record
+    if COMPLEX_REFERRAL in phenomena and not (
+        want_referral and any(p in context_pairs for p in intents)
     ):
-        phenomena = phenomena - {COMPLEX_REFERRAL}
-    if COMPLEX_REFERRAL in phenomena and not want_referral:
         phenomena = phenomena - {COMPLEX_REFERRAL}
 
     spec = DialogSpecimen(
         kind=kind,
         intents=intents,
-        phenomena=frozenset(phenomena),
+        phenomena=phenomena,
         persona_id=persona.id,
         matched_slot=matched,
     )
@@ -256,10 +256,16 @@ def generate_slot_values(
     slots so generated outputs can condition on the inputs.
     """
     fill: list[dict] = []  # ordered prompt slots
-    inner_pair = spec.intents[1] if spec.kind == "Compositional" else None
+    # compositional: the inner (service, intent, result slot) fills the outer
+    # (service, intent, input slot)
+    inner = outer = None
+    if spec.kind == "Compositional":
+        inner_slot, outer_slot = spec.matched_slot
+        inner = (*spec.intents[1], inner_slot)
+        outer = (*spec.intents[0], outer_slot)
 
-    def add_fill(service, intent, slot, schema_svc):
-        slot_spec = schema_svc.slot(slot)
+    def add_fill(service, intent, slot):
+        slot_spec = schemas.service(service).slot(slot)
         fill.append(
             {
                 "service": service,
@@ -270,8 +276,7 @@ def generate_slot_values(
         )
 
     for service, intent_name in spec.intents:
-        svc = schemas.service(service)
-        intent = svc.intent(intent_name)
+        intent = schemas.service(service).intent(intent_name)
         if intent.require_context:
             ctx = contexts.get(service)
             if ctx is None or not ctx.records:
@@ -284,35 +289,23 @@ def generate_slot_values(
             for slot, value in record.items():
                 spec.set_value(service, intent_name, slot, value)
             # new values for a modify-style context intent come from the backend
-            if intent.performs_operation and intent.optional_slots:
-                k = min(
-                    max(1, intent.minimum_input_slot_number),
-                    len(intent.optional_slots),
-                )
-                if intent.minimum_input_slot_number > 0:
-                    for slot in rng.sample(list(intent.optional_slots), k=k):
-                        add_fill(service, f"{intent_name}.new", slot, svc)
+            n = intent.minimum_input_slot_number
+            if intent.performs_operation and intent.optional_slots and n > 0:
+                k = min(n, len(intent.optional_slots))
+                for slot in rng.sample(list(intent.optional_slots), k=k):
+                    add_fill(service, f"{intent_name}.new", slot)
         else:
             for slot in intent.input_slots:
-                if (
-                    spec.kind == "Compositional"
-                    and spec.matched_slot
-                    and (service, intent_name) == spec.intents[0]
-                    and slot == spec.matched_slot[1]
-                ):
-                    continue  # matched slot comes from the inner intent
-                add_fill(service, intent_name, slot, svc)
+                # the outer's matched slot comes from the inner intent
+                if (service, intent_name, slot) != outer:
+                    add_fill(service, intent_name, slot)
 
     # compositional: the inner result value is generated last so it can
     # condition on the inputs, unless the inner is a context check (then it
     # is read straight from the target record)
-    if inner_pair is not None and spec.matched_slot:
-        inner_svc_name, inner_intent_name = inner_pair
-        inner_intent = schemas.service(inner_svc_name).intent(inner_intent_name)
-        inner_slot, outer_slot = spec.matched_slot
-        if not inner_intent.require_context:
-            add_fill(inner_svc_name, inner_intent_name, inner_slot,
-                     schemas.service(inner_svc_name))
+    if inner is not None and \
+            not schemas.service(inner[0]).intent(inner[1]).require_context:
+        add_fill(*inner)
 
     if fill:
         today = context_today(contexts)
@@ -356,15 +349,9 @@ def generate_slot_values(
             llm, request, parse, config.content_retries, SamplerError))
 
     # propagate the inner result into the outer matched slot
-    if inner_pair is not None and spec.matched_slot:
-        inner_slot, outer_slot = spec.matched_slot
-        inner_svc_name, inner_intent_name = inner_pair
-        outer_svc_name, outer_intent_name = spec.intents[0]
-        value = spec.value(inner_svc_name, inner_intent_name, inner_slot)
+    if inner is not None:
+        value = spec.value(*inner)
         if value is None:
-            raise SamplerError(
-                f"inner result {inner_svc_name}.{inner_intent_name}."
-                f"{inner_slot} has no value"
-            )
-        spec.set_value(outer_svc_name, outer_intent_name, outer_slot, value)
+            raise SamplerError(f"inner result {'.'.join(inner)} has no value")
+        spec.set_value(*outer, value)
     return spec.slot_values

@@ -305,7 +305,7 @@ def validate_schema_set(schemas: Iterable[ServiceSchema]) -> list[str]:
     return diagnostics
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchemaSet:
     """An ordered, validated collection of service schemas."""
 

@@ -52,8 +52,8 @@ class TestSampleCurrentTime:
             assert now.minute in (0, 15, 30, 45)
 
     def test_deterministic(self):
-        assert sample_current_time(derive_rng(9)) == \
-            sample_current_time(derive_rng(9))
+        assert sample_current_time(derive_rng(9), CFG.time_window) == \
+            sample_current_time(derive_rng(9), CFG.time_window)
 
 
 class TestContextServices:

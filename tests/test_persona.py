@@ -60,7 +60,8 @@ class TestSampling:
     def test_occupation_fields_by_status(self):
         statuses = collections.Counter()
         for i in range(300):
-            out = sample_occupation(persona_rng(CFG.seed, i), OCCUPATIONS, LLM)
+            out = sample_occupation(persona_rng(CFG.seed, i), OCCUPATIONS, LLM,
+                                    CFG.work_status_weights)
             statuses[out["work_status"]] += 1
             if out["work_status"] == "unemployed/retired":
                 assert out["occupation_title"] == ""
@@ -104,7 +105,7 @@ class TestWriteIntroduction:
     }
 
     def test_mock_introduction_mentions_surname_and_work(self):
-        out = write_introduction(dict(self.PARTIAL), LLM)
+        out = write_introduction(dict(self.PARTIAL), LLM, CFG.content_retries)
         lowered = out["introduction"].lower()
         assert "garcia" in lowered
         assert "work" in lowered
@@ -113,7 +114,8 @@ class TestWriteIntroduction:
 
     def test_rejects_partial_without_surname(self):
         with pytest.raises(PersonaError, match="no surname"):
-            write_introduction({"work_status": "employed"}, LLM)
+            write_introduction({"work_status": "employed"}, LLM,
+                               CFG.content_retries)
 
     def test_retries_until_valid(self):
         class FlakyBackend(Backend):

@@ -239,11 +239,6 @@ class TestRunQC:
         reports = run_qc(clean_datapoints[:1], evaluator, CFG)
         assert reports[0].disposition == "flag-for-review"
 
-    def test_no_evaluator_skips_consistency(self, clean_datapoints):
-        reports = run_qc(clean_datapoints[:2], None, CFG)
-        assert all(r.disposition == "keep" for r in reports)
-        assert all("consistency" not in r.verdicts for r in reports)
-
     def test_report_serialization(self, clean_datapoints):
         report = run_qc(clean_datapoints[:1], LLM, CFG)[0]
         d = report.to_dict()

@@ -37,7 +37,9 @@ class TestSampleKind:
         n = 5000
         rng = derive_rng("kinds")
         for _ in range(n):
-            kind, phenomena = sample_kind(rng)
+            kind, phenomena = sample_kind(
+                rng, CFG.kind_ratios, CFG.self_correction_rate,
+                CFG.complex_referral_rate)
             kinds[kind] += 1
             corrections += SELF_CORRECTION in phenomena
             referrals += COMPLEX_REFERRAL in phenomena
