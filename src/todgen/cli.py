@@ -188,7 +188,6 @@ def _plot_row(row: dict) -> tuple:
 
 def stage_plots(cfg: PipelineConfig) -> list:
     out = _outdir(cfg)
-    pool = {p.id: p for p in _personas(out)}
     ctx_rows = read_jsonl(
         _require(out / "contexts.jsonl", "contexts"), _context_row, "row")
     schemas = _schemas(cfg)
@@ -196,15 +195,14 @@ def stage_plots(cfg: PipelineConfig) -> list:
 
     def plot_row(i: int) -> dict:
         dialog_id, persona_id, contexts = ctx_rows[i]
-        persona = pool[persona_id]
         rng = derive_rng(cfg.seed, "dialog", i)
         spec = sample_specimen(
-            rng, schemas, persona, contexts, llm, cfg, dialog_id=dialog_id,
+            rng, schemas, persona_id, contexts, llm, cfg, dialog_id=dialog_id,
         )
         plot = build_plot(spec, schemas, contexts, rng, llm, cfg)
         return {
             "dialog_id": dialog_id,
-            "persona_id": persona.id,
+            "persona_id": persona_id,
             "specimen": spec.to_dict(),
             "plot": plot.to_dict(),
         }

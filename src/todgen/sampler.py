@@ -17,7 +17,6 @@ from .llm import (
     complete_validated,
     parse_json_object,
 )
-from .persona import Persona
 from .schema import SchemaSet
 
 __all__ = [
@@ -177,7 +176,7 @@ def _sample_intent(
 def sample_specimen(
     rng: random.Random,
     schemas: SchemaSet,
-    persona: Persona,
+    persona_id: str,
     contexts: dict[str, AppContext],
     llm: Backend,
     config: PipelineConfig,
@@ -230,10 +229,10 @@ def sample_specimen(
         kind=kind,
         intents=intents,
         phenomena=phenomena,
-        persona_id=persona.id,
+        persona_id=persona_id,
         matched_slot=matched,
     )
-    generate_slot_values(spec, schemas, persona, contexts, llm, config, rng,
+    generate_slot_values(spec, schemas, contexts, llm, config, rng,
                          dialog_id=dialog_id)
     return spec
 
@@ -241,7 +240,6 @@ def sample_specimen(
 def generate_slot_values(
     spec: DialogSpecimen,
     schemas: SchemaSet,
-    persona: Persona,
     contexts: dict[str, AppContext],
     llm: Backend,
     config: PipelineConfig,

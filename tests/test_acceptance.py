@@ -541,7 +541,7 @@ def test_criterion_8_distribution_targets():
             contexts = generate_contexts(
                 persona, SCHEMAS, now, LLM, CFG, derive_rng("dist-ctx", i)
             )
-            spec = sample_specimen(rng, SCHEMAS, persona, contexts, LLM, CFG,
+            spec = sample_specimen(rng, SCHEMAS, persona.id, contexts, LLM, CFG,
                                    dialog_id=f"dist-{i}")
             plot = build_plot(spec, SCHEMAS, contexts, rng, LLM, CFG)
             kinds[plot.kind] += 1

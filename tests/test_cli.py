@@ -256,7 +256,17 @@ class TestStageChaining:
         assert result.exit_code == 1
         payload = json.loads(result.output.strip().splitlines()[-1])
         assert payload["stage"] == "plots"
-        assert "personas" in payload["message"]
+        assert "run the 'contexts' stage first" in payload["message"]
+
+    def test_plots_needs_no_persona_pool(self, runner, workdir):
+        base = ["--config", str(workdir / "config.yaml")]
+        for name in ("personas", "contexts", "plots"):
+            run(runner, [name] + base)
+        out = workdir / "out"
+        plots = (out / "plots.jsonl").read_bytes()
+        (out / "personas.jsonl").unlink()
+        run(runner, ["plots"] + base)
+        assert (out / "plots.jsonl").read_bytes() == plots
 
     def test_qc_copies_kept_dialog_lines(self, runner, workdir):
         """A dialog with a bare ISO date is dropped; ``dataset.jsonl`` is then

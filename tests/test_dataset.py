@@ -40,7 +40,7 @@ def corpus():
         contexts = generate_contexts(
             persona, SCHEMAS, now, LLM, CFG, derive_rng("ds-ctx", i)
         )
-        spec = sample_specimen(rng, SCHEMAS, persona, contexts, LLM, CFG,
+        spec = sample_specimen(rng, SCHEMAS, persona.id, contexts, LLM, CFG,
                                dialog_id=f"ds-{i:03d}")
         plot = build_plot(spec, SCHEMAS, contexts, rng, LLM, CFG)
         dialog = realize_dialog(plot, persona, contexts, LLM, LLM, CFG)

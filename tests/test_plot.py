@@ -747,7 +747,7 @@ class TestDeriveLabels:
                 persona, SCHEMAS, now, LLM, CFG, derive_rng("ctx", i)
             )
             spec = sample_specimen(
-                rng, SCHEMAS, persona, contexts, LLM, CFG,
+                rng, SCHEMAS, persona.id, contexts, LLM, CFG,
                 dialog_id=f"lab{i}",
             )
             plot = build_plot(spec, SCHEMAS, contexts, rng, LLM, CFG)

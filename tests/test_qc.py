@@ -40,7 +40,7 @@ def clean_datapoints():
         contexts = generate_contexts(
             persona, SCHEMAS, now, LLM, CFG, derive_rng("qc-ctx", i)
         )
-        spec = sample_specimen(rng, SCHEMAS, persona, contexts, LLM, CFG,
+        spec = sample_specimen(rng, SCHEMAS, persona.id, contexts, LLM, CFG,
                                dialog_id=f"qc-{i}")
         plot = build_plot(spec, SCHEMAS, contexts, rng, LLM, CFG)
         dialog = realize_dialog(plot, persona, contexts, LLM, LLM, CFG)

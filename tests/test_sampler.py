@@ -130,7 +130,7 @@ def sampled():
             persona, SCHEMAS, now, LLM, CFG, derive_rng("spec-ctx", i)
         )
         specs.append(
-            (sample_specimen(rng, SCHEMAS, persona, contexts, LLM, CFG,
+            (sample_specimen(rng, SCHEMAS, persona.id, contexts, LLM, CFG,
                              dialog_id=f"s{i}"), contexts)
         )
     return specs
@@ -198,6 +198,6 @@ class TestSampleSpecimen:
     def test_deterministic(self, sampled):
         persona = generate_pool(CFG, LLM)[0]
         _, contexts = sampled[0]
-        a = sample_specimen(derive_rng("spec", 0), SCHEMAS, persona, contexts,
+        a = sample_specimen(derive_rng("spec", 0), SCHEMAS, persona.id, contexts,
                             LLM, CFG, dialog_id="s0")
         assert a.to_dict() == sampled[0][0].to_dict()
