@@ -167,7 +167,9 @@ def _requested_slot(action: Action) -> str:
     return "that"
 
 
-def _user_action_info(turn: Turn) -> list:
+def _action_info(turn: Turn) -> list:
+    """Per action: its head, its literals, the value its self-correction
+    changes to (None without one) and the slot it requests."""
     info = []
     for action in turn.actions:
         base, correction = _strip_correction(action)
@@ -176,30 +178,19 @@ def _user_action_info(turn: Turn) -> list:
                 "head": action.head,
                 "values": collect_literals(base),
                 "correction_new": correction,
+                "requested_slot": _requested_slot(base),
             }
         )
     return info
 
 
-def _system_action_info(turn: Turn) -> list:
-    return [
-        {
-            "head": a.head,
-            "values": collect_literals(a),
-            "requested_slot": _requested_slot(a),
-        }
-        for a in turn.actions
-    ]
-
-
-def build_history(turn: Turn, utterance) -> str:
-    """One prompt-ready history line for a realized turn: its actions and its
-    utterance, a system turn shown in its default style."""
-    if turn.speaker == "User":
-        role, message = "user", utterance
-    else:
+def build_history(actions: list[str], utterance) -> str:
+    """One prompt-ready history line for a realized turn: its printed actions
+    and its utterance, a system turn shown in its default style."""
+    if isinstance(utterance, StyledResponse):
         role, message = "assistant", utterance.default_utterance
-    actions = [print_action(a) for a in turn.actions]
+    else:
+        role, message = "user", utterance
     return f"{role}: " + json.dumps({"actions": actions, "message": message},
                                     ensure_ascii=False)
 
@@ -216,6 +207,7 @@ def _context_summary(contexts: dict[str, AppContext]) -> str:
 
 def realize_user_turn(
     turn: Turn,
+    actions: list[str],
     history: str,
     persona: Persona,
     contexts: dict[str, AppContext],
@@ -225,7 +217,6 @@ def realize_user_turn(
 ) -> str:
     if turn.speaker != "User":
         raise RealizerError("realize_user_turn needs a user turn")
-    actions = [print_action(a) for a in turn.actions]
     prompt = render_template(
         "user.txt",
         {
@@ -242,7 +233,7 @@ def realize_user_turn(
         temperature=config.temperature,
         max_tokens=config.max_tokens,
         tag="user_turn",
-        metadata={"actions": actions, "action_info": _user_action_info(turn)},
+        metadata={"actions": actions, "action_info": _action_info(turn)},
     )
 
     def parse(completion: str) -> str:
@@ -257,6 +248,7 @@ def realize_user_turn(
 
 def realize_system_turn(
     turn: Turn,
+    actions: list[str],
     history: str,
     situation: str,
     default_style: tuple[str, str],
@@ -266,7 +258,6 @@ def realize_system_turn(
 ) -> StyledResponse:
     if turn.speaker != "System":
         raise RealizerError("realize_system_turn needs a system turn")
-    actions = [print_action(a) for a in turn.actions]
     actions_json = json.dumps({k: actions for k in SIX_KEYS}, ensure_ascii=False)
     prompt = render_template(
         "system.txt",
@@ -283,7 +274,7 @@ def realize_system_turn(
         tag="system_turn",
         metadata={
             "actions": actions,
-            "action_info": _system_action_info(turn),
+            "action_info": _action_info(turn),
             "last_user_utterance": last_user_utterance,
         },
     )
@@ -320,14 +311,16 @@ def realize_dialog(
     realized: list = []
     last_user = ""
     for turn in plot.turns:
+        actions = [print_action(a) for a in turn.actions]
         if turn.speaker == "User":
             utterance = last_user = realize_user_turn(
-                turn, "\n".join(history), persona, contexts, situation,
-                user_llm, config,
+                turn, actions, "\n".join(history), persona, contexts,
+                situation, user_llm, config,
             )
         else:
             utterance = realize_system_turn(
                 turn,
+                actions,
                 "\n".join(history),
                 situation,
                 next(default_styles),
@@ -336,6 +329,6 @@ def realize_dialog(
                 config,
             )
         realized.append(utterance)
-        history.append(build_history(turn, utterance))
+        history.append(build_history(actions, utterance))
     # built in plot order, so aligned by construction; Datapoint checks it
     return DialogRecord(turns=realized)

@@ -70,6 +70,10 @@ def ticket_plot():
     return assign_default_styles(plot, CFG, {})
 
 
+def printed(turn):
+    return [print_action(a) for a in turn.actions]
+
+
 class ScriptedBackend(Backend):
     """Returns canned completions in order; repeats the last one."""
 
@@ -175,12 +179,12 @@ class TestBuildHistory:
         seeded = realizer._SEEDED_EXCHANGE
         assert seeded[0].startswith('user: {"actions": ["hello()"]')
         assert seeded[1].startswith('assistant: {"actions": ["offer_help()"]')
-        user_line = build_history(plot.turns[0], "I want a ticket.")
+        user_line = build_history(printed(plot.turns[0]), "I want a ticket.")
         assert user_line.startswith("user: ") and "\n" not in user_line
         user_entry = json.loads(user_line.split("user: ", 1)[1])
         assert user_entry["message"] == "I want a ticket."
         assert user_entry["actions"][0].startswith("purchase_tickets(")
-        system_line = build_history(plot.turns[1], styled)
+        system_line = build_history(printed(plot.turns[1]), styled)
         system_entry = json.loads(system_line.split("assistant: ", 1)[1])
         assert system_entry == {
             "actions": [print_action(a) for a in plot.turns[1].actions],
@@ -217,15 +221,18 @@ class TestBuildHistory:
 class TestRealizeUserTurn:
     def test_mock_turn_mentions_values(self):
         plot = ticket_plot()
+        turn = plot.turns[0]
         utterance = realize_user_turn(
-            plot.turns[0], "", PERSONA, {}, "movie", LLM, CFG
+            turn, printed(turn), "", PERSONA, {}, "movie", LLM, CFG
         )
         assert "Joker" in utterance and "Regal Cinemas" in utterance
 
     def test_deterministic(self):
         plot = ticket_plot()
-        a = realize_user_turn(plot.turns[0], "", PERSONA, {}, "movie", LLM, CFG)
-        b = realize_user_turn(plot.turns[0], "", PERSONA, {}, "movie",
+        turn = plot.turns[0]
+        a = realize_user_turn(turn, printed(turn), "", PERSONA, {}, "movie",
+                              LLM, CFG)
+        b = realize_user_turn(turn, printed(turn), "", PERSONA, {}, "movie",
                               make_backend(CFG.user_backend), CFG)
         assert a == b
 
@@ -234,8 +241,9 @@ class TestRealizeUserTurn:
         backend = ScriptedBackend(
             ["not json at all", '{"actions": [], "message": "Two tickets."}']
         )
+        turn = plot.turns[0]
         utterance = realize_user_turn(
-            plot.turns[0], "", PERSONA, {}, "movie", backend, CFG
+            turn, printed(turn), "", PERSONA, {}, "movie", backend, CFG
         )
         assert utterance == "Two tickets."
         assert backend.calls == 2
@@ -244,14 +252,15 @@ class TestRealizeUserTurn:
         plot = ticket_plot()
         backend = ScriptedBackend(['{"actions": []}'])  # never has a message
         with pytest.raises(RealizerError, match="no 'message' key"):
-            realize_user_turn(plot.turns[0], "", PERSONA, {}, "movie",
-                              backend, CFG)
+            realize_user_turn(plot.turns[0], printed(plot.turns[0]), "",
+                              PERSONA, {}, "movie", backend, CFG)
         assert backend.calls == CFG.content_retries
 
     def test_rejects_system_turn(self):
         plot = ticket_plot()
         with pytest.raises(RealizerError, match="needs a user turn"):
-            realize_user_turn(plot.turns[1], "", PERSONA, {}, "movie", LLM, CFG)
+            realize_user_turn(plot.turns[1], printed(plot.turns[1]), "",
+                              PERSONA, {}, "movie", LLM, CFG)
 
 
 class TestRealizeSystemTurn:
@@ -259,9 +268,10 @@ class TestRealizeSystemTurn:
         from todgen.dataset import word_count
 
         plot = ticket_plot()
+        turn = plot.turns[1]
         response = realize_system_turn(
-            plot.turns[1], "", "movie", ("low", "no"), "A ticket please.",
-            LLM, CFG,
+            turn, printed(turn), "", "movie", ("low", "no"),
+            "A ticket please.", LLM, CFG,
         )
         assert set(response.variants) == set(SIX_KEYS)
         for suffix in ("mirroring", "no_mirroring"):
@@ -272,8 +282,9 @@ class TestRealizeSystemTurn:
 
     def test_mirroring_variant_echoes_user_wording(self):
         plot = ticket_plot()
+        turn = plot.turns[1]
         response = realize_system_turn(
-            plot.turns[1], "", "movie", ("low", "no"),
+            turn, printed(turn), "", "movie", ("low", "no"),
             "I want to see a funny movie tonight", LLM, CFG,
         )
         mirrored = response.variants["verbosity_high mirroring"]
@@ -286,7 +297,8 @@ class TestRealizeSystemTurn:
         backend = ScriptedBackend(['{"only": "one"}'])
         with pytest.raises(RealizerError, match="six style keys"):
             realize_system_turn(
-                plot.turns[1], "", "movie", ("low", "no"), "", backend, CFG
+                plot.turns[1], printed(plot.turns[1]), "", "movie",
+                ("low", "no"), "", backend, CFG
             )
         assert backend.calls == CFG.content_retries
 
@@ -295,14 +307,27 @@ class TestRealizeSystemTurn:
         valid = json.dumps({k: f"words for {k} {'x ' * i}" for i, k in
                             enumerate(SIX_KEYS)})
         backend = ScriptedBackend(["<<garbage>>", valid])
+        turn = plot.turns[1]
         response = realize_system_turn(
-            plot.turns[1], "", "movie", ("low", "no"), "", backend, CFG
+            turn, printed(turn), "", "movie", ("low", "no"), "", backend, CFG
         )
         assert backend.calls == 2
         assert response.variants["verbosity_low mirroring"].startswith("words")
 
 
 class TestRealizeDialog:
+    def test_each_action_is_printed_once(self, monkeypatch):
+        calls = []
+
+        def counting_print(action):
+            calls.append(action)
+            return print_action(action)
+
+        monkeypatch.setattr(realizer, "print_action", counting_print)
+        plot = ticket_plot()
+        realize_dialog(plot, PERSONA, {}, LLM, LLM, CFG)
+        assert calls == [a for turn in plot.turns for a in turn.actions]
+
     def test_every_plot_turn_is_realized(self):
         plot = ticket_plot()
         record = realize_dialog(plot, PERSONA, {}, LLM, LLM, CFG)
