@@ -249,6 +249,30 @@ def _build_context_initial(
     return user_action, target_action, target
 
 
+def _choose_initial_slots(
+    intent: IntentSpec, values: dict, rng: random.Random,
+    config: PipelineConfig, forced: tuple[str, ...] = (),
+) -> tuple[str, ...]:
+    """The input slots of an intent's opening query, in schema order: its
+    minimum initial slots and ``forced``, each other required slot with
+    probability 1/2 and each optional slot that has a value with
+    ``optional_slot_probability``, padded with valued slots up to
+    ``minimum_input_slot_number``."""
+    chosen = list(intent.minimum_initial_slots)
+    chosen += [s for s in forced if s not in chosen]
+    for slot in intent.required_slots:
+        if slot not in chosen and rng.random() < 0.5:
+            chosen.append(slot)
+    for slot in intent.optional_slots:
+        if (slot in values and slot not in chosen
+                and rng.random() < config.optional_slot_probability):
+            chosen.append(slot)
+    pending = [s for s in intent.input_slots if s not in chosen and s in values]
+    while len(chosen) < intent.minimum_input_slot_number and pending:
+        chosen.append(pending.pop(0))
+    return tuple(s for s in intent.input_slots if s in chosen)
+
+
 def build_single_plot(
     spec: DialogSpecimen,
     service_intent: tuple[str, str],
@@ -259,11 +283,13 @@ def build_single_plot(
     config: PipelineConfig,
     prefix: str = "",
     initial_slots: Optional[tuple[str, ...]] = None,
+    forced: tuple[str, ...] = (),
 ) -> Plot:
     """Plot for one intent: an initial query (a context record reference, or
     slot values plus one information request per missing required slot),
     optional confirmation, result reporting, and a terminal completion
-    notice."""
+    notice. ``initial_slots`` pins the query's slots; otherwise they are
+    drawn, always including ``forced``."""
     service, intent_name = service_intent
     intent = schemas.service(service).intent(intent_name)
 
@@ -283,18 +309,8 @@ def build_single_plot(
                 f"specimen lacks a value for required slot {missing_values[0]!r}"
             )
         if initial_slots is None:
-            chosen: list[str] = list(intent.minimum_initial_slots)
-            for slot in intent.required_slots:
-                if slot not in chosen and rng.random() < 0.5:
-                    chosen.append(slot)
-            for slot in intent.optional_slots:
-                if slot in values and rng.random() < config.optional_slot_probability:
-                    chosen.append(slot)
-            pending = [s for s in intent.input_slots
-                       if s not in chosen and s in values]
-            while len(chosen) < intent.minimum_input_slot_number and pending:
-                chosen.append(pending.pop(0))
-            initial_slots = tuple(s for s in intent.input_slots if s in chosen)
+            initial_slots = _choose_initial_slots(intent, values, rng, config,
+                                                  forced)
         used_slots = tuple(
             s for s in intent.input_slots
             if s in values and (s in initial_slots or s in intent.required_slots)
@@ -872,8 +888,8 @@ def build_plot(
         outer_pair = spec.intents[0]
         outer = build_single_plot(
             spec, outer_pair, schemas, contexts, rng, llm, config,
-            prefix=f"{outer_pair[0]}_",
-            initial_slots=_compositional_initial_slots(spec, schemas, rng, config),
+            # the inner action is substituted for the matched outer slot
+            prefix=f"{outer_pair[0]}_", forced=spec.matched_slot[1:],
         )
         inner_action, lead = _build_inner_action(spec, schemas, contexts, config)
         plot = merge_compositional(outer, inner_action, spec.matched_slot, lead)
@@ -889,33 +905,6 @@ def build_plot(
     plot = assign_default_styles(plot, config, contexts)
     plot.validate()
     return plot
-
-
-def _compositional_initial_slots(
-    spec: DialogSpecimen, schemas: SchemaSet, rng: random.Random,
-    config: PipelineConfig,
-) -> tuple[str, ...]:
-    """The matched outer slot must appear in the initial query so the inner
-    action can be substituted for it."""
-    service, intent_name = spec.intents[0]
-    intent = schemas.service(service).intent(intent_name)
-    if intent.require_context:
-        return ()
-    _, outer_slot = spec.matched_slot
-    chosen = list(intent.minimum_initial_slots)
-    if outer_slot not in chosen:
-        chosen.append(outer_slot)
-    for slot in intent.required_slots:
-        if slot not in chosen and rng.random() < 0.5:
-            chosen.append(slot)
-    for slot in intent.optional_slots:
-        if (
-            spec.value(service, intent_name, slot) is not None
-            and slot not in chosen
-            and rng.random() < config.optional_slot_probability
-        ):
-            chosen.append(slot)
-    return tuple(s for s in intent.input_slots if s in chosen)
 
 
 def derive_phenomena(turns) -> tuple:

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from todgen import cli
 from todgen.config import PipelineConfig
 from todgen.context import AppContext
 from todgen.llm import MockBackend, make_backend
@@ -358,6 +359,24 @@ class TestCompositional:
             not isinstance(arg.value, Action)
             for a in final.actions for arg in a.args
         )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_openings_meet_the_outer_minimum(self, tmp_path, seed):
+        """The plots stage over 250 all-compositional dialogs: each outer
+        opening carries at least minimum_input_slot_number slots."""
+        cfg = PipelineConfig(seed=seed, dialog_count=250, persona_pool_size=2,
+                             kind_ratios=(0.0, 1.0, 0.0), output_dir=tmp_path)
+        for stage in (cli.stage_personas, cli.stage_contexts):
+            stage(cfg)
+        rows = cli.stage_plots(cfg)
+        assert {r["specimen"]["kind"] for r in rows} == {"Compositional"}
+        for row in rows:
+            service, intent_name = row["specimen"]["intents"][0]
+            intent = SCHEMAS.service(service).intent(intent_name)
+            opening = Plot.from_dict(row["plot"]).turns[0].actions[0]
+            assert opening.head == f"{service}_{intent_name}"
+            assert len(opening.args) >= intent.minimum_input_slot_number, \
+                (row["dialog_id"], print_action(opening))
 
 
 class TestChooseReferringExpression:
