@@ -135,7 +135,7 @@ def main() -> None:
 
 def stage_personas(cfg: PipelineConfig) -> list:
     out = _outdir(cfg)
-    llm = make_backend(cfg.user_backend)
+    llm = make_backend(cfg.user_backend, cfg.seed)
     pool = generate_pool(cfg, llm)
     with _checkpoint(out / "personas.jsonl") as tmp:
         write_jsonl(tmp, (p.to_dict() for p in pool))
@@ -152,7 +152,7 @@ def stage_contexts(cfg: PipelineConfig) -> list:
     out = _outdir(cfg)
     pool = _personas(out)
     schemas = _schemas(cfg)
-    llm = make_backend(cfg.user_backend)
+    llm = make_backend(cfg.user_backend, cfg.seed)
 
     def context_row(i: int) -> dict:
         assign_rng = derive_rng(cfg.seed, "assign", i)
@@ -191,7 +191,7 @@ def stage_plots(cfg: PipelineConfig) -> list:
     ctx_rows = read_jsonl(
         _require(out / "contexts.jsonl", "contexts"), _context_row, "row")
     schemas = _schemas(cfg)
-    llm = make_backend(cfg.user_backend)
+    llm = make_backend(cfg.user_backend, cfg.seed)
 
     def plot_row(i: int) -> dict:
         dialog_id, persona_id, contexts = ctx_rows[i]
@@ -221,8 +221,8 @@ def stage_realize(cfg: PipelineConfig) -> list:
             _require(out / "contexts.jsonl", "contexts"), _context_row, "row")
     }
     plot_rows = read_jsonl(_require(out / "plots.jsonl", "plots"), _plot_row, "row")
-    user_llm = make_backend(cfg.user_backend)
-    system_llm = make_backend(cfg.system_backend)
+    user_llm = make_backend(cfg.user_backend, cfg.seed)
+    system_llm = make_backend(cfg.system_backend, cfg.seed)
 
     def datapoint(row: tuple) -> Datapoint:
         dialog_id, persona_id, plot = row
@@ -249,7 +249,7 @@ def stage_qc(cfg: PipelineConfig) -> list:
     out = _outdir(cfg)
     dialogs = _require(out / "dialogs.jsonl", "realize")
     dps = read_dataset(dialogs)
-    llm = make_backend(cfg.evaluator_backend)
+    llm = make_backend(cfg.evaluator_backend, cfg.seed)
     reports = qc_mod.run_qc(dps, llm, cfg)
     with _checkpoint(out / "qc_report.jsonl") as tmp:
         write_jsonl(tmp, (r.to_dict() for r in reports))

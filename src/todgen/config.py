@@ -203,8 +203,7 @@ class PipelineConfig:
 
 
 _BACKEND_FIELDS = ("user_backend", "system_backend", "evaluator_backend")
-_BACKEND_KEYS = {"kind", "endpoint", "model", "auth_env", "timeout", "retry",
-                 "seed"}
+_BACKEND_KEYS = {"kind", "endpoint", "model", "auth_env", "timeout", "retry"}
 _RETRY_KEYS = {"max_attempts", "backoff"}
 
 
@@ -237,7 +236,7 @@ def _check_backend(name: str, b: BackendConfig) -> None:
         )
 
 
-def _backend_from_dict(name: str, obj: dict, seed: int) -> BackendConfig:
+def _backend_from_dict(name: str, obj: dict) -> BackendConfig:
     retry = obj.get("retry", {})
     if not isinstance(retry, dict):
         raise ConfigError(f"{name}.retry must be a mapping, got {retry!r}")
@@ -256,7 +255,6 @@ def _backend_from_dict(name: str, obj: dict, seed: int) -> BackendConfig:
                 max_attempts=int(retry.get("max_attempts", 3)),
                 backoff=float(retry.get("backoff", 0.1)),
             ),
-            seed=int(obj.get("seed", seed)),
         )
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{name}: {e}") from e
@@ -283,10 +281,9 @@ def load_config(path: Optional[str] = None, **overrides) -> PipelineConfig:
             raise ConfigError(f"config root must be a mapping: {p}")
         values.update(raw)
     values.update({k: v for k, v in overrides.items() if v is not None})
-    seed = int(values.get("seed", 0))
     for key in _BACKEND_FIELDS:
         if isinstance(values.get(key), dict):
-            values[key] = _backend_from_dict(key, values[key], seed)
+            values[key] = _backend_from_dict(key, values[key])
     for key in _TUPLE_FIELDS:
         if isinstance(values.get(key), list):
             values[key] = tuple(values[key])

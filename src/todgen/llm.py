@@ -97,7 +97,6 @@ class BackendConfig:
     auth_env: str = "TODGEN_API_KEY"
     timeout: float = 30.0
     retry: RetryPolicy = RetryPolicy()
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind == "http" and not self.endpoint:
@@ -577,9 +576,12 @@ _MOCK_HANDLERS: dict[str, Callable] = {
 }
 
 
-def make_backend(config: BackendConfig, audit_log: Optional[str] = None) -> Backend:
+def make_backend(config: BackendConfig, seed: int,
+                 audit_log: Optional[str] = None) -> Backend:
+    """The backend ``config`` describes; a mock answers under ``seed``, the
+    pipeline seed."""
     if config.kind == "mock":
-        return MockBackend(seed=config.seed, audit_log=audit_log)
+        return MockBackend(seed=seed, audit_log=audit_log)
     if config.kind == "http":
         return HttpBackend(config, audit_log=audit_log)
     raise ValueError(f"unknown backend kind {config.kind!r}")

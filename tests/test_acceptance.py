@@ -44,7 +44,7 @@ from todgen.schema import load_schema_set
 
 CFG = PipelineConfig(seed=1)
 SCHEMAS = load_schema_set(CFG.schema_manifest_path)
-LLM = make_backend(CFG.user_backend)
+LLM = make_backend(CFG.user_backend, CFG.seed)
 
 
 # one line per criterion; echoed immediately (visible with -s) and replayed

@@ -174,6 +174,7 @@ class TestBackendConfig:
         ("{kind: http}", "requires an endpoint"),
         ("{kind: mock, timeout: soon}", "could not convert"),
         ("{kind: mock, retry: 3}", "retry must be a mapping"),
+        ("{kind: mock, seed: 3}", "unknown keys in user_backend: .'seed'."),
     ])
     def test_malformed_backend_values_rejected(self, tmp_path, backend, message):
         with pytest.raises(ConfigError, match=message):
@@ -189,6 +190,25 @@ class TestBackendConfig:
         payload = json.loads(result.output.strip().splitlines()[-1])
         assert payload["error"] == "ConfigError"
         assert not out.exists()
+
+    def test_cli_seed_and_spelled_out_backends_agree(self, runner, tmp_path):
+        """The mocks answer under the pipeline seed, whether the backends are
+        defaults or spelled-out mappings."""
+        configs = {
+            "default": "",
+            "spelled": "".join(f"{name}: {{kind: mock}}\n" for name in (
+                "user_backend", "system_backend", "evaluator_backend")),
+        }
+        for name, text in configs.items():
+            config = tmp_path / f"{name}.yaml"
+            config.write_text(f"persona_pool_size: 4\n{text}")
+            run(runner, ["run-all", "--config", str(config), "--seed", "7",
+                         "--count", "20", "--out", str(tmp_path / name)])
+        names = sorted(p.name for p in (tmp_path / "default").iterdir())
+        for name in names:
+            assert (tmp_path / "default" / name).read_bytes() == \
+                (tmp_path / "spelled" / name).read_bytes(), name
+
 
 class TestRunAll:
     def test_produces_all_artifacts(self, runner, workdir):

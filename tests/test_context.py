@@ -31,7 +31,7 @@ from todgen.schema import load_schema_set
 
 CFG = PipelineConfig(seed=41)
 SCHEMAS = load_schema_set(CFG.schema_manifest_path)
-LLM = make_backend(CFG.user_backend)
+LLM = make_backend(CFG.user_backend, CFG.seed)
 PERSONA = Persona(
     id="persona-ctx", surname="Okafor",
     introduction="Ada Okafor works as a teacher in Denver.",
@@ -114,7 +114,7 @@ class TestGenerateContexts:
         now = dt.datetime(2025, 4, 16, 9, 30)
         a = generate_contexts(PERSONA, SCHEMAS, now, LLM, CFG, derive_rng("c"))
         b = generate_contexts(
-            PERSONA, SCHEMAS, now, make_backend(CFG.user_backend), CFG,
+            PERSONA, SCHEMAS, now, make_backend(CFG.user_backend, CFG.seed), CFG,
             derive_rng("c"),
         )
         assert {k: v.to_dict() for k, v in a.items()} == \

@@ -27,7 +27,7 @@ from todgen.schema import load_schema_set
 
 CFG = PipelineConfig(seed=31, persona_pool_size=2)
 SCHEMAS = load_schema_set(CFG.schema_manifest_path)
-LLM = make_backend(CFG.user_backend)
+LLM = make_backend(CFG.user_backend, CFG.seed)
 
 
 @pytest.fixture(scope="module")

@@ -395,13 +395,14 @@ class TestCompleteValidated:
 
 class TestMakeBackend:
     def test_kind_dispatch(self):
-        assert isinstance(make_backend(BackendConfig(kind="mock")), MockBackend)
+        mock = make_backend(BackendConfig(kind="mock"), 7)
+        assert isinstance(mock, MockBackend) and mock.seed == 7
         assert isinstance(
-            make_backend(BackendConfig(kind="http", endpoint="http://x")),
+            make_backend(BackendConfig(kind="http", endpoint="http://x"), 7),
             HttpBackend,
         )
         with pytest.raises(ValueError, match="unknown backend kind"):
-            make_backend(BackendConfig(kind="quantum"))
+            make_backend(BackendConfig(kind="quantum"), 7)
 
     def test_http_requires_endpoint(self):
         with pytest.raises(ValueError, match="requires an endpoint"):

@@ -32,7 +32,7 @@ from todgen.persona import (
 )
 
 CFG = PipelineConfig(seed=17, persona_pool_size=30)
-LLM = make_backend(CFG.user_backend)
+LLM = make_backend(CFG.user_backend, CFG.seed)
 OCCUPATIONS = OccupationTable.load(CFG.industry_table_path)
 SURNAMES = SurnameTable.load(CFG.surname_table_path)
 
@@ -194,7 +194,7 @@ class TestGeneratePool:
         assert [p.id for p in pool] == [f"persona-{i:04d}" for i in range(4)]
 
     def test_deterministic_under_seed(self, pool):
-        again = generate_pool(CFG, MockBackend(seed=CFG.user_backend.seed))
+        again = generate_pool(CFG, MockBackend(seed=CFG.seed))
         assert [p.to_dict() for p in again] == [p.to_dict() for p in pool]
 
     def test_pool_round_trip(self, pool, tmp_path):

@@ -39,7 +39,7 @@ from todgen.schema import load_schema_set
 
 CFG = PipelineConfig(seed=3)
 SCHEMAS = load_schema_set(CFG.schema_manifest_path)
-LLM = make_backend(CFG.user_backend)
+LLM = make_backend(CFG.user_backend, CFG.seed)
 
 ALARM_CTX = AppContext(
     service_name="alarms",

@@ -34,7 +34,7 @@ from todgen.schema import load_schema_set
 
 CFG = PipelineConfig(seed=11)
 SCHEMAS = load_schema_set(CFG.schema_manifest_path)
-LLM = make_backend(CFG.user_backend)
+LLM = make_backend(CFG.user_backend, CFG.seed)
 
 PERSONA = Persona(
     id="persona-test",
@@ -233,7 +233,7 @@ class TestRealizeUserTurn:
         a = realize_user_turn(turn, printed(turn), "", PERSONA, {}, "movie",
                               LLM, CFG)
         b = realize_user_turn(turn, printed(turn), "", PERSONA, {}, "movie",
-                              make_backend(CFG.user_backend), CFG)
+                              make_backend(CFG.user_backend, CFG.seed), CFG)
         assert a == b
 
     def test_retries_after_malformed_completion(self):
