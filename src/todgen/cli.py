@@ -12,9 +12,10 @@ and writes its own, so expensive backend stages can be re-run independently:
     split    -> split.json
     run-all  -> all of the above in order
 
-The per-dialog stages (contexts, plots, realize, qc) map one function of a
-dialog over all dialogs with ``runner.run_dialogs``, ``max_concurrency`` at a
-time, and write their checkpoint in dialog order once the map is done.
+The backend stages (personas, contexts, plots, realize, qc) map one function
+of a persona or dialog over all of them with ``runner.run_dialogs``,
+``max_concurrency`` at a time, and write their checkpoint in order once the
+map is done.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from .llm import (
     parse_json_object,
 )
 from .rng import derive_rng
+from .runner import run_dialogs
 
 __all__ = [
     "Persona",
@@ -120,7 +121,7 @@ class SurnameTable:
 
 
 def persona_rng(seed: int, index: int) -> random.Random:
-    """Independent stream per persona, stable under parallel schedules."""
+    """Independent RNG per persona, stable under parallel schedules."""
     return derive_rng(seed, "persona", index)
 
 
@@ -128,12 +129,11 @@ def sample_occupation(
     rng: random.Random,
     table: OccupationTable,
     llm: Backend,
-    weights: tuple[float, float, float],
+    config: PipelineConfig,
+    persona_id: str,
 ) -> dict:
     """Step 1: work status, industry occupation, and backend-filled details."""
-    if not table.rows:
-        raise PersonaError("empty occupation table")
-    status = rng.choices(WORK_STATUSES, weights=weights)[0]
+    status = rng.choices(WORK_STATUSES, weights=config.work_status_weights)[0]
     out = {
         "work_status": status,
         "occupation_code": "",
@@ -148,25 +148,29 @@ def sample_occupation(
     out["occupation_code"] = code
     out["occupation_title"] = title
     prompt = (
-        f"A person is {status} in the industry {title!r}. Invent a plausible "
-        "work location, affiliation, and job level (senior, intermediate, "
-        "entry-level, or not-specified). Return JSON with keys location, "
-        "affiliation, job_level."
+        f"Persona {persona_id} is {status} in the industry {title!r}. Invent "
+        "a plausible work location, affiliation, and job level (senior, "
+        "intermediate, entry-level, or not-specified). Return JSON with keys "
+        "location, affiliation, job_level."
     )
-    completion = llm.complete(
-        CompletionRequest(
-            messages=(("user", prompt),),
-            tag="persona_details",
-            metadata={"work_status": status, "occupation_title": title,
-                      "stream": rng.random()},
-        )
+    request = CompletionRequest(
+        messages=(("user", prompt),),
+        tag="persona_details",
+        metadata={"work_status": status, "occupation_title": title},
     )
-    details = parse_json_object(completion)
-    out["location"] = str(details.get("location", ""))
-    out["affiliation"] = str(details.get("affiliation", ""))
-    level = str(details.get("job_level", "not-specified"))
-    out["job_level"] = level if level in JOB_LEVELS else "not-specified"
-    return out
+
+    def parse(completion: str) -> dict:
+        details = parse_json_object(completion)
+        level = str(details.get("job_level", "not-specified"))
+        return {
+            **out,
+            "location": str(details.get("location", "")),
+            "affiliation": str(details.get("affiliation", "")),
+            "job_level": level if level in JOB_LEVELS else "not-specified",
+        }
+
+    return complete_validated(llm, request, parse, config.content_retries,
+                              PersonaError)
 
 
 def sample_demographics(rng: random.Random, table: SurnameTable) -> dict:
@@ -255,27 +259,25 @@ def write_introduction(
 
 
 def generate_pool(config: PipelineConfig, llm: Backend) -> list[Persona]:
-    """Generate the persona pool; resamples a persona when its details
-    answer is unusable or its introduction keeps failing validation."""
+    """Generate the persona pool, ``max_concurrency`` personas at a time; a
+    persona is drawn again when its details or introduction keep failing
+    validation."""
     occupations = OccupationTable.load(config.industry_table_path)
     surnames = SurnameTable.load(config.surname_table_path)
-    pool = []
-    for index in range(config.persona_pool_size):
+
+    def persona(index: int) -> Persona:
         rng = persona_rng(config.seed, index)
+        persona_id = f"persona-{index:04d}"
         for _ in range(5):  # resampling bound
-            partial = {"id": f"persona-{index:04d}"}
             try:
-                partial.update(
-                    sample_occupation(rng, occupations, llm,
-                                      config.work_status_weights)
-                )
+                partial = {"id": persona_id, **sample_occupation(
+                    rng, occupations, llm, config, persona_id)}
                 partial.update(sample_demographics(rng, surnames))
-                partial = write_introduction(partial, llm,
-                                             retries=config.content_retries)
-            except (ContentError, PersonaError):
+                return Persona.from_dict(
+                    write_introduction(partial, llm, config.content_retries))
+            except PersonaError:
                 continue
-            pool.append(Persona.from_dict(partial))
-            break
-        else:
-            raise PersonaError(f"could not generate persona {index}")
-    return pool
+        raise PersonaError(f"could not generate persona {index}")
+
+    return run_dialogs(persona, range(config.persona_pool_size),
+                       config.max_concurrency)

@@ -1,4 +1,4 @@
-"""Deterministic RNG stream derivation, stable across processes."""
+"""Deterministic RNG derivation, stable across processes."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ __all__ = ["derive_rng"]
 
 
 def derive_rng(*parts) -> random.Random:
-    """Random stream keyed by the given parts (hash-seed independent)."""
+    """Random generator keyed by the given parts (hash-seed independent)."""
     canon = "\x1f".join(repr(p) for p in parts)
     digest = hashlib.sha256(canon.encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))

@@ -2,6 +2,8 @@
 generation, and serialization."""
 
 import collections
+import time
+from dataclasses import replace
 
 import pytest
 
@@ -30,6 +32,7 @@ from todgen.persona import (
     speaking_habit_for,
     write_introduction,
 )
+from todgen.runner import waiting
 
 CFG = PipelineConfig(seed=17, persona_pool_size=30)
 LLM = make_backend(CFG.user_backend, CFG.seed)
@@ -61,7 +64,7 @@ class TestSampling:
         statuses = collections.Counter()
         for i in range(300):
             out = sample_occupation(persona_rng(CFG.seed, i), OCCUPATIONS, LLM,
-                                    CFG.work_status_weights)
+                                    CFG, f"persona-{i:04d}")
             statuses[out["work_status"]] += 1
             if out["work_status"] == "unemployed/retired":
                 assert out["occupation_title"] == ""
@@ -177,21 +180,71 @@ class TestGeneratePool:
             assert p.mbti in MBTI_TYPES
             assert p.surname.lower() in p.introduction.lower()
 
-    def test_malformed_details_answer_resamples_the_persona(self):
+    def test_refused_details_answer_is_asked_again(self):
         class RefusesOnce(MockBackend):
-            refused = False
+            def __init__(self, seed):
+                super().__init__(seed)
+                self.details = []  # (prompt, attempt) of each details request
 
             def _complete(self, req):
-                if req.tag == "persona_details" and not self.refused:
-                    self.refused = True
+                if req.tag != "persona_details":
+                    return super()._complete(req)
+                self.details.append((req.messages, req.metadata["attempt"]))
+                if len(self.details) == 1:
                     return "Sorry, I can't help with that."
                 return super()._complete(req)
 
-        backend = RefusesOnce(seed=0)
+        backend = RefusesOnce(seed=3)
         pool = generate_pool(PipelineConfig(seed=3, persona_pool_size=4),
                              backend)
-        assert backend.refused
+        (refused, attempt0), (again, attempt1) = backend.details[:2]
+        assert again == refused and (attempt0, attempt1) == (0, 1)
         assert [p.id for p in pool] == [f"persona-{i:04d}" for i in range(4)]
+        # the persona asked again keeps its draws and uses the second answer
+        (asked,) = [p for p in pool if f"Persona {p.id} " in refused[0][1]]
+        assert asked.location
+
+    def test_details_prompts_are_distinct(self):
+        """The persona id makes every details prompt its own, so a backend
+        keyed by prompt answers each persona independently of call order."""
+        prompts = []
+
+        class Recording(MockBackend):
+            def _complete(self, req):
+                if req.tag == "persona_details":
+                    prompts.append(req.messages)
+                return super()._complete(req)
+
+        generate_pool(PipelineConfig(seed=7, persona_pool_size=500),
+                      Recording(seed=7))
+        assert len(prompts) > 300
+        assert len(set(prompts)) == len(prompts)
+
+    def test_concurrent_pool_overlaps_waits_and_matches_serial(self):
+        """A backend that waits inside ``waiting()`` has ``max_concurrency``
+        persona requests in flight, and the pool is the serial pool."""
+
+        class Waiting(MockBackend):
+            def __init__(self, seed):
+                super().__init__(seed)
+                self.in_flight = self.peak = 0
+
+            def _complete(self, req):
+                with waiting():
+                    with self._lock:
+                        self.in_flight += 1
+                        self.peak = max(self.peak, self.in_flight)
+                    time.sleep(0.002)
+                    with self._lock:
+                        self.in_flight -= 1
+                return super()._complete(req)
+
+        cfg = PipelineConfig(seed=5, persona_pool_size=24)
+        serial = generate_pool(cfg, MockBackend(seed=5))
+        backend = Waiting(seed=5)
+        pool = generate_pool(replace(cfg, max_concurrency=4), backend)
+        assert backend.peak == 4
+        assert [p.to_dict() for p in pool] == [p.to_dict() for p in serial]
 
     def test_deterministic_under_seed(self, pool):
         again = generate_pool(CFG, MockBackend(seed=CFG.seed))
