@@ -234,7 +234,7 @@ class TestGeneratePool:
                     with self._lock:
                         self.in_flight += 1
                         self.peak = max(self.peak, self.in_flight)
-                    time.sleep(0.002)
+                    time.sleep(0.01)
                     with self._lock:
                         self.in_flight -= 1
                 return super()._complete(req)
