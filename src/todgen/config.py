@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -24,52 +24,6 @@ def data_path(*parts: str) -> Path:
     """Path to a bundled data file (schemas, tables, templates)."""
     root = resources.files("todgen").joinpath("/".join(parts))
     return Path(str(root))
-
-
-# Context-bearing services in generation dependency order: contacts first,
-# since its names feed messages and calendar events.
-CONTEXT_SERVICE_ORDER = (
-    "contacts",
-    "messages",
-    "calendar_events",
-    "reminders",
-    "alarms",
-)
-
-# Which context services draw person names from the generated contacts.
-CONTACT_DEPENDENT = ("messages", "calendar_events")
-
-# Referring-expression slot preference per context service, most intuitive
-# first (time-like slots beat locations).
-DEFAULT_PREFERENCE_ORDERS = {
-    "alarms": ("time", "name"),
-    "calendar_events": ("start_time", "name", "date", "location"),
-    "messages": ("sender", "time"),
-    "reminders": ("time", "content", "date"),
-    "contacts": ("name", "phone_number"),
-}
-
-# Intents whose confirmation concerns an irreversible operation.
-DEFAULT_IRREVERSIBLE = {
-    "alarms": ("delete", "modify"),
-    "calendar_events": ("delete", "modify"),
-    "messages": ("delete", "send_message"),
-    "reminders": ("delete", "modify"),
-    "contacts": ("delete",),
-    "movie": ("purchase_tickets",),
-    "restaurant_booking": ("reserve_table",),
-    "hotel_booking": ("book_hotel",),
-    "banking": ("transfer_money",),
-}
-
-# Record slots used when generating app-context instances.
-CONTEXT_RECORD_SLOTS = {
-    "alarms": ("time", "name", "if_repeat"),
-    "calendar_events": ("name", "date", "start_time", "duration_time", "location"),
-    "messages": ("sender", "time", "content"),
-    "reminders": ("content", "time", "date"),
-    "contacts": ("name", "phone_number", "email", "relationship"),
-}
 
 
 @dataclass(frozen=True)
@@ -95,7 +49,6 @@ class PipelineConfig:
 
     # contexts
     record_count_range: tuple[int, int] = (1, 5)
-    record_count_overrides: dict = field(default_factory=lambda: {"alarms": (1, 4)})
     time_window: tuple[str, str] = ("2025-01-01", "2026-12-31")
 
     # backends
@@ -110,13 +63,6 @@ class PipelineConfig:
     # split
     test_fraction: float = 0.10
     held_out_service: str = "banking"
-
-    preference_orders: dict = field(
-        default_factory=lambda: dict(DEFAULT_PREFERENCE_ORDERS)
-    )
-    irreversible_intents: dict = field(
-        default_factory=lambda: dict(DEFAULT_IRREVERSIBLE)
-    )
 
     def __post_init__(self):
         for name in ("kind_ratios", "work_status_weights"):
@@ -152,20 +98,16 @@ class PipelineConfig:
             raise ConfigError(
                 f"content_retries must be at least 1, got {self.content_retries}"
             )
-        ranges = {"record_count_range": self.record_count_range}
-        ranges.update(
-            (f"record_count_overrides[{service!r}]", r)
-            for service, r in self.record_count_overrides.items()
-        )
         # at least one record: the sampler gives context-requiring intents
         # to every dialog and fails on an empty context
-        for name, r in ranges.items():
-            if not (isinstance(r, (tuple, list)) and len(r) == 2
-                    and all(isinstance(v, int) for v in r)
-                    and 1 <= r[0] <= r[1]):
-                raise ConfigError(
-                    f"{name} must be (lo, hi) with 1 <= lo <= hi, got {r}"
-                )
+        r = self.record_count_range
+        if not (isinstance(r, (tuple, list)) and len(r) == 2
+                and all(isinstance(v, int) for v in r)
+                and 1 <= r[0] <= r[1]):
+            raise ConfigError(
+                f"record_count_range must be (lo, hi) with 1 <= lo <= hi, "
+                f"got {r}"
+            )
         if self.services and self.held_out_service not in self.services:
             raise ConfigError(
                 f"held_out_service {self.held_out_service!r} is not in the "
@@ -191,15 +133,6 @@ class PipelineConfig:
         if self.industry_table:
             return Path(self.industry_table)
         return data_path("data", "tables", "industries.csv")
-
-    def record_count(self, service: str) -> tuple[int, int]:
-        return tuple(self.record_count_overrides.get(service, self.record_count_range))
-
-    def is_irreversible(self, service: str, intent: str) -> bool:
-        return intent in self.irreversible_intents.get(service, ())
-
-    def preference_order(self, service: str) -> tuple[str, ...]:
-        return tuple(self.preference_orders.get(service, ()))
 
 
 _BACKEND_FIELDS = ("user_backend", "system_backend", "evaluator_backend")
@@ -236,7 +169,18 @@ def _check_backend(name: str, b: BackendConfig) -> None:
         )
 
 
+# backend values a YAML file may give as another type; the rest pass as given
+_BACKEND_CASTS = {"timeout": float, "max_attempts": int, "backoff": float}
+
+
+def _cast(mapping: dict) -> dict:
+    return {k: _BACKEND_CASTS[k](v) if k in _BACKEND_CASTS else v
+            for k, v in mapping.items()}
+
+
 def _backend_from_dict(name: str, obj: dict) -> BackendConfig:
+    """A backend built from the keys ``obj`` gives; the dataclass defaults
+    fill the rest."""
     retry = obj.get("retry", {})
     if not isinstance(retry, dict):
         raise ConfigError(f"{name}.retry must be a mapping, got {retry!r}")
@@ -245,17 +189,8 @@ def _backend_from_dict(name: str, obj: dict) -> BackendConfig:
     if unknown:
         raise ConfigError(f"unknown keys in {name}: {unknown}")
     try:
-        return BackendConfig(
-            kind=obj.get("kind", "mock"),
-            endpoint=obj.get("endpoint", ""),
-            model=obj.get("model", ""),
-            auth_env=obj.get("auth_env", "TODGEN_API_KEY"),
-            timeout=float(obj.get("timeout", 30.0)),
-            retry=RetryPolicy(
-                max_attempts=int(retry.get("max_attempts", 3)),
-                backoff=float(retry.get("backoff", 0.1)),
-            ),
-        )
+        fields = _cast({k: v for k, v in obj.items() if k != "retry"})
+        return BackendConfig(**fields, retry=RetryPolicy(**_cast(retry)))
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{name}: {e}") from e
 
@@ -287,10 +222,6 @@ def load_config(path: Optional[str] = None, **overrides) -> PipelineConfig:
     for key in _TUPLE_FIELDS:
         if isinstance(values.get(key), list):
             values[key] = tuple(values[key])
-    for key in ("preference_orders", "irreversible_intents",
-                "record_count_overrides"):
-        if isinstance(values.get(key), dict):
-            values[key] = {k: tuple(v) for k, v in values[key].items()}
     known = set(PipelineConfig.__dataclass_fields__)
     unknown = set(values) - known
     if unknown:

@@ -11,12 +11,7 @@ import datetime as dt
 import random
 from dataclasses import dataclass, field
 
-from .config import (
-    CONTACT_DEPENDENT,
-    CONTEXT_RECORD_SLOTS,
-    CONTEXT_SERVICE_ORDER,
-    PipelineConfig,
-)
+from .config import PipelineConfig
 from .llm import (
     Backend,
     CompletionRequest,
@@ -36,6 +31,32 @@ __all__ = [
     "generate_contexts",
     "context_services",
 ]
+
+
+# Context-bearing services in generation dependency order: contacts first,
+# since its names feed messages and calendar events.
+CONTEXT_SERVICE_ORDER = (
+    "contacts",
+    "messages",
+    "calendar_events",
+    "reminders",
+    "alarms",
+)
+
+# Which context services draw person names from the generated contacts.
+CONTACT_DEPENDENT = ("messages", "calendar_events")
+
+# Record slots used when generating app-context instances.
+CONTEXT_RECORD_SLOTS = {
+    "alarms": ("time", "name", "if_repeat"),
+    "calendar_events": ("name", "date", "start_time", "duration_time", "location"),
+    "messages": ("sender", "time", "content"),
+    "reminders": ("content", "time", "date"),
+    "contacts": ("name", "phone_number", "email", "relationship"),
+}
+
+# Record-count ranges that replace ``record_count_range`` for one service.
+RECORD_COUNT_OVERRIDES = {"alarms": (1, 4)}
 
 
 class ContextError(ValueError):
@@ -128,7 +149,7 @@ def generate_contexts(
     batch, allowed_keys = [], {}
     for service in services:
         svc = schemas.service(service)
-        lo, hi = config.record_count(service)
+        lo, hi = RECORD_COUNT_OVERRIDES.get(service, config.record_count_range)
         batch.append({
             "service": service,
             "record_slots": [

@@ -25,7 +25,13 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, TypeVar
 
 from .runner import waiting
-from .values import FIRST_NAMES, PLACES, parse_display_date, sample_value
+from .values import (
+    FIRST_NAMES,
+    JOB_LEVELS,
+    PLACES,
+    parse_display_date,
+    sample_value,
+)
 
 # keep in step with the version in pyproject.toml
 __version__ = "0.1.0"
@@ -188,9 +194,14 @@ class HttpBackend(Backend):
                     else:
                         try:
                             obj = json.loads(body)
-                            return obj["choices"][0]["message"]["content"]
+                            content = obj["choices"][0]["message"]["content"]
                         except (ValueError, TypeError, KeyError, IndexError) as e:
                             raise BackendError(f"malformed response body: {e}") from e
+                        if not isinstance(content, str):
+                            raise BackendError(
+                                "malformed response body: content is "
+                                f"{type(content).__name__}, not a string")
+                        return content
                 if attempt < policy.max_attempts:
                     with waiting():
                         time.sleep(delay)
@@ -232,18 +243,20 @@ class ContentError(ValueError):
 _DECODER = json.JSONDecoder()
 
 
-def parse_json_object(text: str) -> dict:
-    """The JSON object that starts at the first ``{`` of possibly noisy text;
-    text around it is ignored."""
-    start = text.find("{")
+def parse_json_object(text: str, opening: str = "{") -> dict | list:
+    """The JSON value that starts at the first ``opening`` bracket of possibly
+    noisy text: an object for ``{``, an array for ``[``. Text around it is
+    ignored."""
+    kind = "object" if opening == "{" else "array"
+    start = text.find(opening)
     if start < 0:
-        raise ContentError(f"no JSON object in completion: {text[:80]!r}")
+        raise ContentError(f"no JSON {kind} in completion: {text[:80]!r}")
     try:
         return _DECODER.raw_decode(text, start)[0]
     except json.JSONDecodeError as e:
-        raise ContentError(f"invalid JSON object: {e}") from e
+        raise ContentError(f"invalid JSON {kind}: {e}") from e
     except RecursionError:
-        raise ContentError("JSON object nested too deeply") from None
+        raise ContentError(f"JSON {kind} nested too deeply") from None
 
 
 T = TypeVar("T")
@@ -278,7 +291,6 @@ _AFFILIATIONS = [
     "Northside Clinic", "Crestview Logistics", "Bluefield University",
     "Harbor Analytics", "Summit Retail Group", "Maple Grove School District",
 ]
-_JOB_LEVELS = ["senior", "intermediate", "entry-level", "not-specified"]
 _HOBBIES = ["hiking", "photography", "cooking", "gardening", "chess", "cycling"]
 
 
@@ -328,7 +340,7 @@ def _mock_persona_details(rng, meta, req) -> str:
         {
             "location": rng.choice(PLACES),
             "affiliation": rng.choice(_AFFILIATIONS),
-            "job_level": rng.choice(_JOB_LEVELS),
+            "job_level": rng.choice(JOB_LEVELS),
         }
     )
 

@@ -22,6 +22,7 @@ from .llm import (
 )
 from .rng import derive_rng
 from .runner import run_dialogs
+from .values import JOB_LEVELS
 
 __all__ = [
     "Persona",
@@ -52,7 +53,6 @@ _RACE_COLUMNS = (
     "white", "hispanic", "black", "asian_pacific", "american_indian",
     "not_specified",
 )
-JOB_LEVELS = ("senior", "intermediate", "entry-level", "not-specified")
 
 
 class PersonaError(ValueError):

@@ -18,6 +18,7 @@ from .llm import (
     CompletionRequest,
     ContentError,
     complete_validated,
+    parse_json_object,
 )
 from .mr import (
     Action,
@@ -47,7 +48,15 @@ __all__ = [
     "derive_labels",
 ]
 
-VERBOSITIES = ("low", "mid", "high")
+# Referring-expression slot preference per context service, most intuitive
+# first (time-like slots beat locations).
+PREFERENCE_ORDERS = {
+    "alarms": ("time", "name"),
+    "calendar_events": ("start_time", "name", "date", "location"),
+    "messages": ("sender", "time"),
+    "reminders": ("time", "content", "date"),
+    "contacts": ("name", "phone_number"),
+}
 
 
 class PlotError(ValueError):
@@ -164,11 +173,8 @@ def query_database(
     )
 
     def parse(completion: str) -> list[dict]:
-        try:
-            records = json.loads(completion)
-        except (json.JSONDecodeError, RecursionError) as e:
-            raise ContentError(f"invalid JSON: {e}") from e
-        if not isinstance(records, list) or len(records) != 5:
+        records = parse_json_object(completion, "[")
+        if len(records) != 5:
             raise ContentError("expected exactly 5 records")
         for r in records:
             if not isinstance(r, dict):
@@ -208,7 +214,6 @@ def _build_context_initial(
     intent: IntentSpec,
     spec: DialogSpecimen,
     contexts: dict[str, AppContext],
-    config: PipelineConfig,
     prefix: str,
 ) -> tuple[Action, Action, dict]:
     """User initial action, the system-side target reference and the target
@@ -220,7 +225,7 @@ def _build_context_initial(
     if idx is None or idx >= len(ctx.records):
         raise PlotError(f"no context target for {service}.{intent.name}")
     target = ctx.records[idx]
-    preference = config.preference_order(service) or tuple(target)
+    preference = PREFERENCE_ORDERS.get(service) or tuple(target)
     try:
         ref_slots = choose_referring_expression(target, ctx.records, preference)
     except PlotError:
@@ -297,7 +302,7 @@ def build_single_plot(
     # and notified), and the records whose values are reported
     if intent.require_context:
         user_action, subject, target = _build_context_initial(
-            service, intent, spec, contexts, config, prefix
+            service, intent, spec, contexts, prefix
         )
         turns = [Turn("User", (user_action,))]
         records = [target] if intent.report_result else []
@@ -712,31 +717,28 @@ _MIRROR_UNSAFE_TERMS = (
 )
 
 
-def _confirmed_intent(action: Action):
-    """The (op name, nested action) a confirmation refers to."""
+def _confirmed_op(action: Action) -> Optional[str]:
+    """The op name a confirmation refers to."""
     for arg in action.args:
         if isinstance(arg.value, Action):
             nested = arg.value
             for seg in nested.chain:
                 if isinstance(seg, Call) and seg.name != "self_correction":
-                    return seg.name, nested
-            return nested.head, nested
-    return None, None
+                    return seg.name
+            return nested.head
+    return None
 
 
-def _is_irreversible_confirm(
-    action: Action, services, config: PipelineConfig
+def _requires_confirmation(
+    action: Action, services, schemas: SchemaSet
 ) -> bool:
-    op, _ = _confirmed_intent(action)
-    if op is None:
-        return False
-    for service in services:
-        candidate = op
-        if candidate.startswith(f"{service}_"):
-            candidate = candidate[len(service) + 1:]
-        if config.is_irreversible(service, candidate):
-            return True
-    return False
+    """Whether the confirmed intent's schema sets ``require_confirmation``."""
+    op = _confirmed_op(action)
+    return op is not None and any(
+        i.name == op.removeprefix(f"{service}_") and i.require_confirmation
+        for service in services
+        for i in schemas.service(service).intent_operations
+    )
 
 
 def _mirroring_unsafe(
@@ -769,17 +771,17 @@ def _mirroring_unsafe(
 
 def assign_default_styles(
     plot: Plot,
-    config: PipelineConfig,
-    contexts: Optional[dict[str, AppContext]] = None,
+    schemas: SchemaSet,
+    contexts: dict[str, AppContext],
 ) -> Plot:
     """Default (verbosity, mirroring) per system turn.
 
     Priority: phenomenon in the previous user turn -> high; confirmation of an
-    irreversible operation -> high; new information -> mid for a single-record
-    inform, high for a multi-record summary; otherwise low. Mirroring defaults
-    to yes unless the previous user turn fails the safety screen.
+    intent whose schema sets ``require_confirmation`` -> high; new
+    information -> mid for a single-record inform, high for a multi-record
+    summary; otherwise low. Mirroring defaults to yes unless the previous user
+    turn fails the safety screen.
     """
-    contexts = contexts or {}
     styles = []
     for i, turn in enumerate(plot.turns):
         if turn.speaker != "System":
@@ -789,7 +791,7 @@ def assign_default_styles(
             verbosity = "high"
         elif any(
             a.head.endswith("ask_confirm")
-            and _is_irreversible_confirm(a, plot.services, config)
+            and _requires_confirmation(a, plot.services, schemas)
             for a in turn.actions
         ):
             verbosity = "high"
@@ -824,7 +826,6 @@ def _build_inner_action(
     spec: DialogSpecimen,
     schemas: SchemaSet,
     contexts: dict[str, AppContext],
-    config: PipelineConfig,
 ) -> tuple[Action, tuple[Action, ...]]:
     """Inner intent as a nested value action, plus any system actions that
     resolve it (a database-backed inner leads the first system response)."""
@@ -835,7 +836,7 @@ def _build_inner_action(
     prefix = f"{inner_service}_"
     if intent.require_context:
         _, target_action, _ = _build_context_initial(
-            inner_service, intent, spec, contexts, config, prefix
+            inner_service, intent, spec, contexts, prefix
         )
         # reference form: getter + service-prefixed check + field access
         inner = Action(
@@ -891,7 +892,7 @@ def build_plot(
             # the inner action is substituted for the matched outer slot
             prefix=f"{outer_pair[0]}_", forced=spec.matched_slot[1:],
         )
-        inner_action, lead = _build_inner_action(spec, schemas, contexts, config)
+        inner_action, lead = _build_inner_action(spec, schemas, contexts)
         plot = merge_compositional(outer, inner_action, spec.matched_slot, lead)
         plot = replace(
             plot,
@@ -902,7 +903,7 @@ def build_plot(
                      f"{spec.intents[1][0]}.{spec.intents[1][1]}"),
         )
     plot = inject_phenomena(plot, spec.phenomena, rng, contexts, schemas)
-    plot = assign_default_styles(plot, config, contexts)
+    plot = assign_default_styles(plot, schemas, contexts)
     plot.validate()
     return plot
 

@@ -14,6 +14,7 @@ from typing import Optional
 __all__ = [
     "WEEKDAYS",
     "FIRST_NAMES",
+    "JOB_LEVELS",
     "PLACES",
     "format_date",
     "parse_display_date",
@@ -26,6 +27,7 @@ FIRST_NAMES = [
     "Alex", "Maria", "James", "Wei", "Priya", "Omar", "Elena", "David",
     "Aisha", "Carlos", "Yuki", "Fatima", "Liam", "Sofia", "Noah", "Amara",
 ]
+JOB_LEVELS = ("senior", "intermediate", "entry-level", "not-specified")
 PLACES = [
     "Las Vegas", "Houston", "Miami", "Seattle", "Denver", "Chicago",
     "Boston", "Austin",

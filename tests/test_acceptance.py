@@ -502,7 +502,7 @@ def test_criterion_6_default_style_fixture_suite():
         assert len(STYLE_CASES) == 20
         for name, text, services, contexts, expected in STYLE_CASES:
             plot = Plot(turns=_turns(text), services=tuple(services))
-            styled = assign_default_styles(plot, CFG, contexts)
+            styled = assign_default_styles(plot, SCHEMAS, contexts)
             assert styled.default_styles == expected, (
                 f"{name}: got {styled.default_styles}, want {expected}"
             )
@@ -722,7 +722,7 @@ def test_criterion_12_backend_robustness():
             spec, ("alarms", "create"), SCHEMAS, {}, derive_rng(0), LLM, CFG,
             initial_slots=("time", "name"),
         )
-        plot = assign_default_styles(plot, CFG, {})
+        plot = assign_default_styles(plot, SCHEMAS, {})
         assert len(plot.turns) == 2  # one user turn, one system turn
 
         user_reply = json.dumps(

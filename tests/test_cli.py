@@ -58,8 +58,6 @@ class TestConfig:
         {"record_count_range": (-1, 2)},
         {"record_count_range": (0, 2)},
         {"record_count_range": (1, 2, 3)},
-        {"record_count_overrides": {"alarms": (4, 1)}},
-        {"record_count_overrides": {"alarms": (-2, -1)}},
     ])
     def test_bad_record_count_range_rejected(self, overrides):
         with pytest.raises(ConfigError, match="1 <= lo <= hi"):
@@ -114,6 +112,17 @@ class TestConfig:
         path = tmp_path / "old.yaml"
         path.write_text("alias_transitive: false\n")
         with pytest.raises(ConfigError, match="alias_transitive"):
+            load_config(path)
+
+    @pytest.mark.parametrize("line", [
+        "irreversible_intents: {alarms: [delete]}",
+        "preference_orders: {alarms: [time]}",
+        "record_count_overrides: {alarms: [1, 4]}",
+    ])
+    def test_per_service_table_is_unknown_key(self, tmp_path, line):
+        path = tmp_path / "old.yaml"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="unknown config keys"):
             load_config(path)
 
 

@@ -6,12 +6,11 @@ import json
 
 import pytest
 
-from todgen.config import (
+from todgen.config import PipelineConfig
+from todgen.context import (
     CONTACT_DEPENDENT,
     CONTEXT_SERVICE_ORDER,
-    PipelineConfig,
-)
-from todgen.context import (
+    RECORD_COUNT_OVERRIDES,
     AppContext,
     ContextError,
     context_services,
@@ -89,7 +88,7 @@ class TestGenerateContexts:
 
     def test_record_counts_respect_config(self, contexts):
         for service, ctx in contexts.items():
-            lo, hi = CFG.record_count(service)
+            lo, hi = RECORD_COUNT_OVERRIDES.get(service, CFG.record_count_range)
             assert lo <= len(ctx.records) <= hi
 
     def test_records_carry_expected_slots(self, contexts):
@@ -298,6 +297,14 @@ class TestParseJsonObject:
         for text in ('{"a": 1', '{"a": "}', "{'a': 1}"):
             with pytest.raises(ContentError, match="invalid JSON object"):
                 parse_json_object(text)
+
+    def test_array_opening(self):
+        assert parse_json_object('records:\n```json\n[{"a": "]"}]\n```',
+                                 "[") == [{"a": "]"}]
+        with pytest.raises(ContentError, match="no JSON array"):
+            parse_json_object('{"a": 1}', "[")
+        with pytest.raises(ContentError, match="invalid JSON array"):
+            parse_json_object("[1, 2", "[")
 
     def test_errors_on_deep_nesting(self):
         text = '{"a":' * 200_000 + "1" + "}" * 200_000

@@ -245,6 +245,12 @@ class TestHttpBackend:
         with pytest.raises(BackendError, match="malformed response body"):
             http_backend(stub_server).complete(req())
 
+    @pytest.mark.parametrize("content", [None, ["not", "text"]])
+    def test_non_string_content_is_malformed_body(self, stub_server, content):
+        _StubHandler.bodies = [{"choices": [{"message": {"content": content}}]}]
+        with pytest.raises(BackendError, match="malformed response body"):
+            http_backend(stub_server).complete(req())
+
     def test_bearer_token_sent_when_configured(self, stub_server, monkeypatch):
         monkeypatch.setenv("TODGEN_API_KEY", "sk-test-123")
         http_backend(stub_server).complete(req())

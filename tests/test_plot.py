@@ -1,13 +1,14 @@
 """Plot construction: slot-filling flow, merges, phenomena, referring
 expressions, database queries, and default styles."""
 
+import datetime as dt
 import itertools
 
 import pytest
 
 from todgen import cli
 from todgen.config import PipelineConfig
-from todgen.context import AppContext
+from todgen.context import AppContext, generate_contexts
 from todgen.llm import MockBackend, make_backend
 from todgen.mr import (
     Action,
@@ -33,13 +34,26 @@ from todgen.plot import (
     merge_compound,
     query_database,
 )
+from todgen.persona import Persona
 from todgen.rng import derive_rng
-from todgen.sampler import DialogSpecimen, sample_specimen
+from todgen.sampler import DialogSpecimen, generate_slot_values, sample_specimen
 from todgen.schema import load_schema_set
 
 CFG = PipelineConfig(seed=3)
 SCHEMAS = load_schema_set(CFG.schema_manifest_path)
 LLM = make_backend(CFG.user_backend, CFG.seed)
+# the bundled intents whose schema sets ``require_confirmation``
+CONFIRMED_INTENTS = [
+    ("alarms", "modify"), ("alarms", "delete"),
+    ("calendar_events", "modify"), ("calendar_events", "delete"),
+    ("reminders", "modify"), ("reminders", "delete"),
+    ("contacts", "delete"),
+    ("messages", "delete"), ("messages", "send_message"),
+    ("movie", "purchase_tickets"),
+    ("restaurant_booking", "reserve_table"),
+    ("hotel_booking", "book_hotel"),
+    ("banking", "transfer_money"),
+]
 
 ALARM_CTX = AppContext(
     service_name="alarms",
@@ -492,6 +506,24 @@ class TestQueryDatabase:
         assert all(r["movie_name"] == "Joker" for r in records)
         assert backend.calls == 2
 
+    def test_array_wrapped_in_prose_and_fence_is_read(self):
+        """A real model may put text or a code fence around the array."""
+        class Chatty(MockBackend):
+            calls = 0
+
+            def _complete(self, req):
+                self.calls += 1
+                array = super()._complete(req)
+                return f"Here are the records:\n```json\n{array}\n```\nDone."
+
+        backend = Chatty(seed=3)
+        intent = SCHEMAS.service("movie").intent("get_movie_time")
+        records = query_database("movie", intent, {"movie_name": "Joker"},
+                                 backend, CFG)
+        assert len(records) == 5
+        assert all(r["movie_name"] == "Joker" for r in records)
+        assert backend.calls == 1
+
     def test_non_object_records_exhaust_as_plot_error(self):
         backend = NonObjectRecords(bad=CFG.content_retries)
         intent = SCHEMAS.service("movie").intent("get_movie_time")
@@ -605,7 +637,7 @@ class TestInjectPhenomena:
 
 class TestDefaultStyles:
     def _styled(self, plot, contexts=None):
-        return assign_default_styles(plot, CFG, contexts or {})
+        return assign_default_styles(plot, SCHEMAS, contexts or {})
 
     def test_confirmation_of_irreversible_intent_is_high(self):
         spec = DialogSpecimen(
@@ -621,6 +653,28 @@ class TestDefaultStyles:
         # ask_confirm(delete) -> high; notify_done afterwards -> low
         assert styled.default_styles[0][0] == "high"
         assert styled.default_styles[1][0] == "low"
+
+    @pytest.mark.parametrize("service, intent", CONFIRMED_INTENTS,
+                             ids=[f"{s}.{i}" for s, i in CONFIRMED_INTENTS])
+    def test_confirmation_of_every_confirmed_intent_is_high(self, service,
+                                                            intent):
+        """The schema's ``require_confirmation`` makes its confirmation turn
+        high; no phenomenon is injected, so nothing else can."""
+        persona = Persona(id="p", surname="Stub", introduction="A tester.",
+                          speaking_habit="plain")
+        contexts = generate_contexts(
+            persona, SCHEMAS, dt.datetime(2025, 4, 16, 9, 0), LLM, CFG,
+            derive_rng("ctx", service, intent))
+        spec = DialogSpecimen(kind="Single", intents=((service, intent),),
+                              phenomena=frozenset(), persona_id="p")
+        generate_slot_values(spec, SCHEMAS, contexts, LLM, CFG,
+                             derive_rng("values", service, intent))
+        plot = build_single_plot(spec, (service, intent), SCHEMAS, contexts,
+                                 derive_rng(0), LLM, CFG)
+        system = [t for t in plot.turns if t.speaker == "System"]
+        styles = self._styled(plot, contexts).default_styles
+        assert [v for t, (v, _) in zip(system, styles)
+                if t.actions[0].head == "ask_confirm"] == ["high"]
 
     def test_inform_mid_summary_high_request_low(self):
         spec = DialogSpecimen(
@@ -812,7 +866,7 @@ class TestDerivePhenomena:
         plain = self._weather_turn("Fri 2026-05-01")
         styled = assign_default_styles(
             Plot(turns=[plain, request, self._two_deep_referral_turn(), request]),
-            CFG, {},
+            SCHEMAS, {},
         )
         assert [v for v, _ in styled.default_styles] == ["low", "high"]
 
@@ -823,7 +877,7 @@ class TestPlotSerialization:
             movie_specimen(), ("movie", "purchase_tickets"), SCHEMAS, {},
             derive_rng(0), LLM, CFG,
         )
-        plot = assign_default_styles(plot, CFG, {})
+        plot = assign_default_styles(plot, SCHEMAS, {})
         back = Plot.from_dict(plot.to_dict())
         assert back.to_text() == plot.to_text()
         assert back.default_styles == plot.default_styles
@@ -834,7 +888,7 @@ class TestPlotSerialization:
             movie_specimen(), ("movie", "purchase_tickets"), SCHEMAS, {},
             derive_rng(0), LLM, CFG,
         )
-        row = assign_default_styles(plot, CFG, {}).to_dict()
+        row = assign_default_styles(plot, SCHEMAS, {}).to_dict()
         first, second = Plot.from_dict(row), Plot.from_dict(row)
         assert first == second
         first.turns.append(first.turns[0])

@@ -67,7 +67,7 @@ def ticket_plot():
         initial_slots=("movie_name", "date", "cinema_name", "ticket_quantity",
                        "movie_format"),
     )
-    return assign_default_styles(plot, CFG, {})
+    return assign_default_styles(plot, SCHEMAS, {})
 
 
 def printed(turn):
