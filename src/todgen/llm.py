@@ -135,6 +135,53 @@ class Backend:
         raise NotImplementedError
 
 
+class _AnswerWait:
+    """Gives up the dialog's turn while the sent request awaits its answer's
+    status line and headers. The body, which follows the headers, is read
+    with the turn held."""
+
+    def getresponse(self):
+        with waiting():
+            return super().getresponse()
+
+
+class _HTTPConnection(_AnswerWait, http.client.HTTPConnection):
+    """Connects and sends with the turn held: plain-http endpoints are local
+    model servers and proxies in practice, and a loopback connect is shorter
+    than the other dialog's work that would run before the send."""
+
+
+class _HTTPSConnection(_AnswerWait, http.client.HTTPSConnection):
+    """Also gives up the turn for the connect, a network round trip for the
+    TCP connect plus another for the TLS handshake."""
+
+    def connect(self):
+        with waiting():
+            super().connect()
+
+
+class _HTTPHandler(urllib.request.HTTPHandler):
+    """urllib's handler, opening the connection classes above."""
+
+    def do_open(self, http_class, req, **kwargs):
+        return super().do_open(_HTTPConnection, req, **kwargs)
+
+
+class _HTTPSHandler(urllib.request.HTTPSHandler):
+    """urllib's handler, opening the connection classes above."""
+
+    def do_open(self, http_class, req, **kwargs):
+        return super().do_open(_HTTPSConnection, req, **kwargs)
+
+
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    """Follows no redirect, so the bearer token never leaves the endpoint; a
+    3xx answer reaches :meth:`HttpBackend._send` as its status."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
 class HttpBackend(Backend):
     """Chat-completions HTTP client with bounded retry on transient failures
     (connection errors, timeouts, 429 and 5xx).
@@ -142,19 +189,23 @@ class HttpBackend(Backend):
     The transport is ``urllib.request`` with one connection per request.
     Proxies come from the environment (``http_proxy``, ``https_proxy``,
     ``no_proxy``), read once when the backend is built; HTTPS verifies
-    against the system CA store.
+    against the system CA store. Redirects are refused: a 3xx answer raises
+    :class:`BackendError` naming its ``Location`` and is not retried.
+
+    The request is built, connected and sent with the dialog's turn held
+    (see :mod:`todgen.runner`). The turn is given up while the request
+    awaits its answer, during an https connect and during a retry backoff.
     """
 
     def __init__(self, config: BackendConfig, **kwargs):
         super().__init__(**kwargs)
         self.config = config
-        self.last_attempts = 0
         # one TLS context for every request; loading the CA store costs tens
         # of milliseconds, so a plain-http endpoint does without it
         https = urllib.parse.urlsplit(config.endpoint).scheme == "https"
         context = ssl.create_default_context() if https else None
         self._opener = urllib.request.build_opener(
-            urllib.request.HTTPSHandler(context=context))
+            _HTTPHandler(), _HTTPSHandler(context=context), _NoRedirect())
 
     def _complete(self, req: CompletionRequest) -> str:
         token = os.environ.get(self.config.auth_env, "")
@@ -169,59 +220,56 @@ class HttpBackend(Backend):
         }).encode("utf-8")
         policy = self.config.retry
         last_error: Optional[Exception] = None
-        attempt = 0
-        try:
-            for attempt in range(1, policy.max_attempts + 1):
-                delay = policy.backoff * attempt
-                request = urllib.request.Request(
-                    self.config.endpoint, data=data, headers=headers,
-                    method="POST")
-                try:
-                    with waiting():
-                        status, retry_after, body = self._send(request)
-                except BackendError as e:
-                    last_error = e
+        for attempt in range(1, policy.max_attempts + 1):
+            delay = policy.backoff * attempt
+            request = urllib.request.Request(
+                self.config.endpoint, data=data, headers=headers,
+                method="POST")
+            try:
+                status, answer_headers, body = self._send(request)
+            except BackendError as e:
+                last_error = e
+            else:
+                if status in (401, 403):
+                    raise AuthError(f"authentication failed ({status})")
+                if status == 429:
+                    last_error = BackendError("rate limited (429)")
+                    delay = _retry_after(answer_headers.get("Retry-After"), delay)
+                elif status >= 500:
+                    last_error = BackendError(f"server error {status}")
+                elif 300 <= status < 400:
+                    raise BackendError(
+                        f"redirect refused: status {status} to "
+                        f"{answer_headers.get('Location')}")
+                elif status != 200:
+                    raise BackendError(f"unexpected status {status}")
                 else:
-                    if status in (401, 403):
-                        raise AuthError(f"authentication failed ({status})")
-                    if status == 429:
-                        last_error = BackendError("rate limited (429)")
-                        delay = _retry_after(retry_after, delay)
-                    elif status >= 500:
-                        last_error = BackendError(f"server error {status}")
-                    elif status != 200:
-                        raise BackendError(f"unexpected status {status}")
-                    else:
-                        try:
-                            obj = json.loads(body)
-                            content = obj["choices"][0]["message"]["content"]
-                        except (ValueError, TypeError, KeyError, IndexError) as e:
-                            raise BackendError(f"malformed response body: {e}") from e
-                        if not isinstance(content, str):
-                            raise BackendError(
-                                "malformed response body: content is "
-                                f"{type(content).__name__}, not a string")
-                        return content
-                if attempt < policy.max_attempts:
-                    with waiting():
-                        time.sleep(delay)
-        finally:
-            # set once per request, after the caller holds its turn again, so
-            # it is the caller's own count at any concurrency
-            self.last_attempts = attempt
+                    try:
+                        obj = json.loads(body)
+                        content = obj["choices"][0]["message"]["content"]
+                    except (ValueError, TypeError, KeyError, IndexError) as e:
+                        raise BackendError(f"malformed response body: {e}") from e
+                    if not isinstance(content, str):
+                        raise BackendError(
+                            "malformed response body: content is "
+                            f"{type(content).__name__}, not a string")
+                    return content
+            if attempt < policy.max_attempts:
+                with waiting():
+                    time.sleep(delay)
         raise RetryExhaustedError(str(last_error), policy.max_attempts)
 
     def _send(self, request: urllib.request.Request
-              ) -> tuple[int, Optional[str], bytes]:
-        """One attempt: the status, the ``Retry-After`` header and the whole
-        body. A transport failure raises :class:`BackendTimeout` or
+              ) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """One attempt: the status, the headers and the whole body. A
+        transport failure raises :class:`BackendTimeout` or
         :class:`BackendError`, both retried."""
         try:
             with self._opener.open(request, timeout=self.config.timeout) as resp:
-                return resp.status, resp.headers.get("Retry-After"), resp.read()
+                return resp.status, resp.headers, resp.read()
         except urllib.error.HTTPError as e:  # a status outside 2xx
             e.close()
-            return e.code, e.headers.get("Retry-After"), b""
+            return e.code, e.headers, b""
         except (OSError, http.client.HTTPException) as e:
             # urllib wraps a failed connect in URLError; its reason says why
             if isinstance(getattr(e, "reason", e), TimeoutError):

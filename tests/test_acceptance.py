@@ -25,7 +25,7 @@ from todgen.llm import (
     RetryPolicy,
     make_backend,
 )
-from todgen.mr import Action, Arg, Turn, parse_action, parse_action_list, \
+from todgen.mr import Action, Turn, parse_action, parse_action_list, \
     print_action, resolve_referral
 from todgen.persona import generate_pool
 from todgen.plot import (
@@ -761,9 +761,9 @@ def test_criterion_12_backend_robustness():
             server.shutdown()
             thread.join()
         # the user turn took all three HTTP attempts; the system turn took
-        # two content attempts; every plot turn was realized
-        assert backend.last_attempts == 1  # final request succeeded first try
-        assert _FaultHandler.served == 5
+        # two content attempts, each answered at its first HTTP attempt;
+        # every plot turn was realized
+        assert _FaultHandler.served == 3 + 1 + 1
         assert len(record.turns) == len(plot.turns)
         assert record.turns[0] == "Set an alarm called Run for 07:00."
         assert record.turns[1].variants["verbosity_high no_mirroring"] \

@@ -1,9 +1,11 @@
-"""Module layering: a todgen module uses only the public names of another."""
+"""Module layering: a todgen module uses only the public names of another,
+and no module imports a name it never uses."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "todgen"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "todgen"
 
 
 def _todgen_imports(path: Path) -> list:
@@ -34,3 +36,31 @@ def test_values_is_a_leaf_module():
         for node in ast.walk(tree) if isinstance(node, ast.Import)
         for alias in node.names
     )
+
+
+def _unused_imports(path: Path) -> list:
+    """The names ``path`` imports and never references, ``__all__`` and
+    ``from __future__`` aside."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) == "__all__"):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    offenders = {
+        f"{path.relative_to(ROOT)}: {name}"
+        for path in sorted([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")])
+        for name in _unused_imports(path)
+    }
+    assert offenders == set()

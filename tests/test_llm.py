@@ -2,6 +2,7 @@
 auth handling, and error surfaces."""
 
 import datetime
+import http.client
 import json
 import os
 import socket
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -118,6 +120,7 @@ class _StubHandler(BaseHTTPRequestHandler):
     bodies: list = []
     requests_seen: list = []
     retry_after = None  # Retry-After header sent with a 429
+    location = None  # Location header sent with a 3xx
     delay = 0.0  # seconds to wait before answering
 
     def do_POST(self):
@@ -134,6 +137,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.send_response(status)
             if status == 429 and self.retry_after is not None:
                 self.send_header("Retry-After", self.retry_after)
+            if self.location is not None:
+                self.send_header("Location", self.location)
             self.end_headers()
             return
         body = (
@@ -152,20 +157,30 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
+@contextmanager
+def serving(handler):
+    """The port of a local server that answers with ``handler``."""
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
 @pytest.fixture
 def stub_server():
     _StubHandler.script = []
     _StubHandler.bodies = []
     _StubHandler.requests_seen = []
     _StubHandler.retry_after = None
+    _StubHandler.location = None
     _StubHandler.delay = 0.0
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
-    server.shutdown()
-    server.server_close()
-    thread.join()
+    with serving(_StubHandler) as port:
+        yield f"http://127.0.0.1:{port}/v1/chat/completions"
 
 
 def http_backend(endpoint, attempts=3, backoff=0.0, timeout=30.0):
@@ -193,7 +208,6 @@ class TestHttpBackend:
         _StubHandler.script = [500, 500, 200]
         backend = http_backend(stub_server)
         assert backend.complete(req()) == "stub reply"
-        assert backend.last_attempts == 3
         assert len(_StubHandler.requests_seen) == 3
 
     @pytest.mark.parametrize("header, wait", [
@@ -212,7 +226,7 @@ class TestHttpBackend:
         backend = http_backend(stub_server, backoff=0.25)
         out = runner.run_dialogs(lambda _: backend.complete(req()), [0], 1)
         assert out == ["stub reply"]
-        assert backend.last_attempts == 2
+        assert len(_StubHandler.requests_seen) == 2
         assert sleeps == [(wait, False)]
 
     def test_rate_limit_exhaustion_raises(self, stub_server):
@@ -279,7 +293,6 @@ class TestHttpTransport:
         with pytest.raises(RetryExhaustedError, match="timed out") as e:
             backend.complete(req())
         assert e.value.attempts == 2
-        assert backend.last_attempts == 2
 
     def test_closed_port_is_retried_then_exhausted(self):
         with socket.socket() as s:
@@ -290,7 +303,23 @@ class TestHttpTransport:
         with pytest.raises(RetryExhaustedError) as e:
             backend.complete(req())
         assert e.value.attempts == 3
-        assert backend.last_attempts == 3
+
+    @pytest.mark.parametrize("status", [302, 307, 308])
+    def test_redirect_is_refused_and_not_followed(self, stub_server,
+                                                  monkeypatch, status):
+        """A redirect would carry the bearer token to its target."""
+        monkeypatch.setenv("TODGEN_API_KEY", "sk-secret")
+        with serving(_Recorder) as port:
+            _Recorder.seen = []
+            target = f"http://127.0.0.1:{port}/steal"
+            _StubHandler.script = [status]
+            _StubHandler.location = target
+            with pytest.raises(BackendError) as e:
+                http_backend(stub_server).complete(req())
+            assert _Recorder.seen == []
+        assert not isinstance(e.value, RetryExhaustedError)
+        assert str(e.value) == f"redirect refused: status {status} to {target}"
+        assert len(_StubHandler.requests_seen) == 1
 
     def test_proxy_from_environment(self, stub_server, monkeypatch):
         proxy = stub_server.rsplit("/v1/", 1)[0]
@@ -313,6 +342,81 @@ class TestHttpTransport:
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         text = pyproject.read_text(encoding="utf-8")
         assert f'\nversion = "{__version__}"\n' in text
+
+
+class _Recorder(BaseHTTPRequestHandler):
+    """Records every request it gets and answers 200 with no body."""
+
+    seen: list = []
+
+    def do_GET(self):
+        type(self).seen.append((self.command, self.path,
+                                self.headers.get("Authorization")))
+        self.send_response(200)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    do_POST = do_GET
+
+    def log_message(self, *args):
+        pass
+
+
+class TestTurnHandOver:
+    """A dialog builds, connects and sends its request with its turn held and
+    gives the turn up while the request awaits its answer; an https connect
+    is a network round trip, so the turn is given up for it too."""
+
+    def test_request_is_sent_before_another_dialog_runs(self, stub_server,
+                                                        monkeypatch):
+        events = []  # ("start" | "sent", dialog index), in order
+        current = threading.local()
+        connect = http.client.HTTPConnection.connect
+        endheaders = http.client.HTTPConnection.endheaders
+
+        def slow_connect(conn):  # room for another dialog to run, if it may
+            time.sleep(0.05)
+            connect(conn)
+
+        def recorded_endheaders(conn, *args, **kwargs):  # sends the request
+            endheaders(conn, *args, **kwargs)
+            events.append(("sent", current.dialog))
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", slow_connect)
+        monkeypatch.setattr(http.client.HTTPConnection, "endheaders",
+                            recorded_endheaders)
+        backend = http_backend(stub_server)
+
+        def dialog(i):
+            current.dialog = i
+            events.append(("start", i))
+            return backend.complete(req(content=f"dialog {i}"))
+
+        assert runner.run_dialogs(dialog, [0, 1], 2) == ["stub reply"] * 2
+        assert events == [("start", 0), ("sent", 0), ("start", 1), ("sent", 1)]
+
+    def test_https_connect_gives_up_the_turn(self, stub_server, monkeypatch):
+        for name in ("https_proxy", "HTTPS_PROXY", "all_proxy", "ALL_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        held = []  # (step, whether the dialog held its turn)
+        endheaders = http.client.HTTPConnection.endheaders
+
+        def plain_connect(conn):  # a TCP connect to the stub, without TLS
+            held.append(("connect", runner._local.turn.locked()))
+            http.client.HTTPConnection.connect(conn)
+
+        def recorded_endheaders(conn, *args, **kwargs):  # sends the request
+            endheaders(conn, *args, **kwargs)
+            held.append(("sent", runner._local.turn.locked()))
+
+        monkeypatch.setattr(http.client.HTTPSConnection, "connect",
+                            plain_connect)
+        monkeypatch.setattr(http.client.HTTPConnection, "endheaders",
+                            recorded_endheaders)
+        backend = http_backend(stub_server.replace("http://", "https://"))
+        out = runner.run_dialogs(lambda _: backend.complete(req()), [0], 1)
+        assert out == ["stub reply"]
+        assert held == [("connect", False), ("sent", True)]
 
 
 def test_cli_import_does_not_load_requests():

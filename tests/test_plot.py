@@ -16,7 +16,6 @@ from todgen.mr import (
     Call,
     FieldAccess,
     Turn,
-    parse_action,
     parse_action_list,
     print_action,
     resolve_referral,

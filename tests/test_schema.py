@@ -7,7 +7,6 @@ import pytest
 
 from todgen.schema import (
     SchemaError,
-    SchemaSet,
     load_schema,
     load_schema_set,
     validate_schema_set,
