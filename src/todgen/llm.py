@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import http.client
+import ipaddress
 import json
 import os
 import random
@@ -135,29 +136,45 @@ class Backend:
         raise NotImplementedError
 
 
-class _AnswerWait:
-    """Gives up the dialog's turn while the sent request awaits its answer's
-    status line and headers. The body, which follows the headers, is read
-    with the turn held."""
+class _TurnHandOver:
+    """Mixed into urllib's connections: gives up the dialog's turn for the
+    whole answer, body included, and for a connect unless all its peers are
+    loopback addresses. A loopback connect takes less time than the other
+    dialog's work that would run before the send if the turn were given up.
+    """
+
+    def connect(self):
+        # urllib sets a tunnel host for https through a proxy
+        if all(_is_loopback(h) for h in (self.host, self._tunnel_host) if h):
+            super().connect()
+        else:
+            with waiting():
+                super().connect()
 
     def getresponse(self):
         with waiting():
-            return super().getresponse()
+            response = super().getresponse()
+            response.body = response.read()  # what HttpBackend._send returns
+        return response
 
 
-class _HTTPConnection(_AnswerWait, http.client.HTTPConnection):
-    """Connects and sends with the turn held: plain-http endpoints are local
-    model servers and proxies in practice, and a loopback connect is shorter
-    than the other dialog's work that would run before the send."""
+class _HTTPConnection(_TurnHandOver, http.client.HTTPConnection):
+    pass
 
 
-class _HTTPSConnection(_AnswerWait, http.client.HTTPSConnection):
-    """Also gives up the turn for the connect, a network round trip for the
-    TCP connect plus another for the TLS handshake."""
+class _HTTPSConnection(_TurnHandOver, http.client.HTTPSConnection):
+    pass
 
-    def connect(self):
-        with waiting():
-            super().connect()
+
+def _is_loopback(host: str) -> bool:
+    """Whether ``host`` names the local machine: ``localhost`` or a
+    loopback address. Other names are not resolved to find out."""
+    if host.rstrip(".").lower() == "localhost":
+        return True
+    try:
+        return ipaddress.ip_address(host).is_loopback
+    except ValueError:
+        return False
 
 
 class _HTTPHandler(urllib.request.HTTPHandler):
@@ -176,10 +193,14 @@ class _HTTPSHandler(urllib.request.HTTPSHandler):
 
 class _NoRedirect(urllib.request.HTTPRedirectHandler):
     """Follows no redirect, so the bearer token never leaves the endpoint; a
-    3xx answer reaches :meth:`HttpBackend._send` as its status."""
+    redirect reaches :meth:`HttpBackend._send` as its status."""
 
     def redirect_request(self, req, fp, code, msg, headers, newurl):
         return None
+
+
+# the statuses urllib's redirect handler would follow
+_REDIRECTS = (301, 302, 303, 307, 308)
 
 
 class HttpBackend(Backend):
@@ -189,12 +210,15 @@ class HttpBackend(Backend):
     The transport is ``urllib.request`` with one connection per request.
     Proxies come from the environment (``http_proxy``, ``https_proxy``,
     ``no_proxy``), read once when the backend is built; HTTPS verifies
-    against the system CA store. Redirects are refused: a 3xx answer raises
-    :class:`BackendError` naming its ``Location`` and is not retried.
+    against the system CA store. Redirects are refused: a 301, 302, 303,
+    307 or 308 answer raises :class:`BackendError` naming its ``Location``
+    and is not retried.
 
-    The request is built, connected and sent with the dialog's turn held
-    (see :mod:`todgen.runner`). The turn is given up while the request
-    awaits its answer, during an https connect and during a retry backoff.
+    The request is built and sent with the dialog's turn held (see
+    :mod:`todgen.runner`), so it is on the wire before another dialog runs.
+    The turn is given up while the request awaits its answer, body
+    included, for a connect to a peer other than a loopback address, and
+    during a retry backoff.
     """
 
     def __init__(self, config: BackendConfig, **kwargs):
@@ -237,7 +261,7 @@ class HttpBackend(Backend):
                     delay = _retry_after(answer_headers.get("Retry-After"), delay)
                 elif status >= 500:
                     last_error = BackendError(f"server error {status}")
-                elif 300 <= status < 400:
+                elif status in _REDIRECTS:
                     raise BackendError(
                         f"redirect refused: status {status} to "
                         f"{answer_headers.get('Location')}")
@@ -266,7 +290,7 @@ class HttpBackend(Backend):
         :class:`BackendError`, both retried."""
         try:
             with self._opener.open(request, timeout=self.config.timeout) as resp:
-                return resp.status, resp.headers, resp.read()
+                return resp.status, resp.headers, resp.body
         except urllib.error.HTTPError as e:  # a status outside 2xx
             e.close()
             return e.code, e.headers, b""

@@ -3,11 +3,12 @@
 Pipeline code runs one dialog at a time. Each worker thread of
 :func:`run_dialogs` holds a shared *turn* lock while it runs a dialog and
 gives the turn up only inside :func:`waiting`, which the HTTP backend enters
-while a sent request awaits its answer, during an https connect (the TCP
-connect and the TLS handshake) and during a retry backoff. Dialogs therefore
-overlap only while they wait on the backend; RNG draws, counters and every
-other step run as if serial, and each dialog's result depends only on its
-index, so artifacts are byte-identical at any concurrency.
+while a sent request awaits its answer, during a connect to a peer that is
+not a loopback address (with its TLS handshake for https) and during a
+retry backoff. Dialogs therefore overlap only while they wait on the
+backend; RNG draws, counters and every other step run as if serial, and
+each dialog's result depends only on its index, so artifacts are
+byte-identical at any concurrency.
 """
 
 from __future__ import annotations

@@ -321,6 +321,13 @@ class TestHttpTransport:
         assert str(e.value) == f"redirect refused: status {status} to {target}"
         assert len(_StubHandler.requests_seen) == 1
 
+    @pytest.mark.parametrize("status", [300, 304])
+    def test_other_3xx_is_unexpected_status(self, stub_server, status):
+        _StubHandler.script = [status]
+        with pytest.raises(BackendError, match=f"unexpected status {status}"):
+            http_backend(stub_server).complete(req())
+        assert len(_StubHandler.requests_seen) == 1
+
     def test_proxy_from_environment(self, stub_server, monkeypatch):
         proxy = stub_server.rsplit("/v1/", 1)[0]
         for name in ("http_proxy", "HTTP_PROXY"):
@@ -363,9 +370,9 @@ class _Recorder(BaseHTTPRequestHandler):
 
 
 class TestTurnHandOver:
-    """A dialog builds, connects and sends its request with its turn held and
-    gives the turn up while the request awaits its answer; an https connect
-    is a network round trip, so the turn is given up for it too."""
+    """A dialog builds and sends its request with its turn held and gives the
+    turn up while the request awaits its answer, and for a connect to a peer
+    other than a loopback address."""
 
     def test_request_is_sent_before_another_dialog_runs(self, stub_server,
                                                         monkeypatch):
@@ -395,28 +402,54 @@ class TestTurnHandOver:
         assert runner.run_dialogs(dialog, [0, 1], 2) == ["stub reply"] * 2
         assert events == [("start", 0), ("sent", 0), ("start", 1), ("sent", 1)]
 
-    def test_https_connect_gives_up_the_turn(self, stub_server, monkeypatch):
-        for name in ("https_proxy", "HTTPS_PROXY", "all_proxy", "ALL_PROXY"):
+    @pytest.mark.parametrize("endpoint, proxied, connect_held", [
+        ("http://127.0.0.1", False, True),
+        ("http://localhost", False, True),
+        ("http://todgen.invalid", False, False),
+        ("https://127.0.0.1", False, True),
+        ("https://todgen.invalid", False, False),
+        ("http://todgen.invalid", True, True),  # connects to the proxy
+        ("https://todgen.invalid", True, False),  # tunnels through it
+    ])
+    def test_turn_is_held_to_connect_only_to_loopback_peers(
+            self, stub_server, monkeypatch, endpoint, proxied, connect_held):
+        """The request is sent with the turn held and its answer, body
+        included, awaited with the turn given up; the connect holds the turn
+        only when it talks to loopback addresses alone."""
+        port = int(stub_server.split(":")[2].split("/")[0])
+        for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
             monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        if proxied:
+            for name in ("http_proxy", "https_proxy"):
+                monkeypatch.setenv(name, f"http://127.0.0.1:{port}")
         held = []  # (step, whether the dialog held its turn)
         endheaders = http.client.HTTPConnection.endheaders
+        read = http.client.HTTPResponse.read
 
-        def plain_connect(conn):  # a TCP connect to the stub, without TLS
+        def stub_connect(conn):  # a TCP connect to the stub, without TLS
             held.append(("connect", runner._local.turn.locked()))
-            http.client.HTTPConnection.connect(conn)
+            conn.sock = socket.create_connection(("127.0.0.1", port))
 
         def recorded_endheaders(conn, *args, **kwargs):  # sends the request
             endheaders(conn, *args, **kwargs)
             held.append(("sent", runner._local.turn.locked()))
 
+        def recorded_read(response, *args):
+            held.append(("body", runner._local.turn.locked()))
+            return read(response, *args)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", stub_connect)
         monkeypatch.setattr(http.client.HTTPSConnection, "connect",
-                            plain_connect)
+                            stub_connect)
         monkeypatch.setattr(http.client.HTTPConnection, "endheaders",
                             recorded_endheaders)
-        backend = http_backend(stub_server.replace("http://", "https://"))
+        monkeypatch.setattr(http.client.HTTPResponse, "read", recorded_read)
+        backend = http_backend(f"{endpoint}:{port}/v1/chat/completions")
         out = runner.run_dialogs(lambda _: backend.complete(req()), [0], 1)
         assert out == ["stub reply"]
-        assert held == [("connect", False), ("sent", True)]
+        assert held == [("connect", connect_held), ("sent", True),
+                        ("body", False)]
 
 
 def test_cli_import_does_not_load_requests():
