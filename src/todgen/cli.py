@@ -313,9 +313,9 @@ _STAGES = {  # in run-all order
 }
 
 
-def _run_stage(name: str, cfg: PipelineConfig):
+def _run_stage(name: str, cfg: PipelineConfig) -> None:
     try:
-        return _STAGES[name](cfg)
+        _STAGES[name](cfg)
     except _STAGE_ERRORS as e:
         _fail(name, e)
 
@@ -328,9 +328,8 @@ def _make_command(stage_name: str, help_text: str):
             cfg = _build_config(config, seed, count, services, backend, out)
         except _STAGE_ERRORS as e:
             _fail(stage_name, e)
-        result = _run_stage(stage_name, cfg)
-        size = len(result) if hasattr(result, "__len__") else 1
-        click.echo(f"{stage_name}: wrote {size} records to {cfg.output_dir}")
+        _run_stage(stage_name, cfg)
+        click.echo(f"{stage_name}: done; artifacts in {cfg.output_dir}")
 
     return command
 

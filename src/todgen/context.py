@@ -179,6 +179,7 @@ def generate_contexts(
     )
     request = CompletionRequest(
         messages=(("user", prompt),),
+        temperature=config.temperature,
         # the per-request token budget once per service in the batch
         max_tokens=config.max_tokens * len(batch),
         tag="context",

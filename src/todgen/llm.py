@@ -9,6 +9,7 @@ sends only the rendered prompt messages.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import http.client
 import ipaddress
@@ -19,10 +20,10 @@ import re
 import ssl
 import threading
 import time
-import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, TypeVar
 
 from .runner import waiting
@@ -79,8 +80,8 @@ class RetryExhaustedError(BackendError):
 @dataclass(frozen=True)
 class CompletionRequest:
     messages: tuple[tuple[str, str], ...]
-    temperature: float = 0.7
-    max_tokens: int = 512
+    temperature: float
+    max_tokens: int
     tag: str = ""
     # structured hints for the mock backend; never sent over the wire
     metadata: Optional[dict] = None
@@ -136,36 +137,6 @@ class Backend:
         raise NotImplementedError
 
 
-class _TurnHandOver:
-    """Mixed into urllib's connections: gives up the dialog's turn for the
-    whole answer, body included, and for a connect unless all its peers are
-    loopback addresses. A loopback connect takes less time than the other
-    dialog's work that would run before the send if the turn were given up.
-    """
-
-    def connect(self):
-        # urllib sets a tunnel host for https through a proxy
-        if all(_is_loopback(h) for h in (self.host, self._tunnel_host) if h):
-            super().connect()
-        else:
-            with waiting():
-                super().connect()
-
-    def getresponse(self):
-        with waiting():
-            response = super().getresponse()
-            response.body = response.read()  # what HttpBackend._send returns
-        return response
-
-
-class _HTTPConnection(_TurnHandOver, http.client.HTTPConnection):
-    pass
-
-
-class _HTTPSConnection(_TurnHandOver, http.client.HTTPSConnection):
-    pass
-
-
 def _is_loopback(host: str) -> bool:
     """Whether ``host`` names the local machine: ``localhost`` or a
     loopback address. Other names are not resolved to find out."""
@@ -177,29 +148,7 @@ def _is_loopback(host: str) -> bool:
         return False
 
 
-class _HTTPHandler(urllib.request.HTTPHandler):
-    """urllib's handler, opening the connection classes above."""
-
-    def do_open(self, http_class, req, **kwargs):
-        return super().do_open(_HTTPConnection, req, **kwargs)
-
-
-class _HTTPSHandler(urllib.request.HTTPSHandler):
-    """urllib's handler, opening the connection classes above."""
-
-    def do_open(self, http_class, req, **kwargs):
-        return super().do_open(_HTTPSConnection, req, **kwargs)
-
-
-class _NoRedirect(urllib.request.HTTPRedirectHandler):
-    """Follows no redirect, so the bearer token never leaves the endpoint; a
-    redirect reaches :meth:`HttpBackend._send` as its status."""
-
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        return None
-
-
-# the statuses urllib's redirect handler would follow
+# redirect statuses; http.client returns them as they are and follows none
 _REDIRECTS = (301, 302, 303, 307, 308)
 
 
@@ -207,33 +156,71 @@ class HttpBackend(Backend):
     """Chat-completions HTTP client with bounded retry on transient failures
     (connection errors, timeouts, 429 and 5xx).
 
-    The transport is ``urllib.request`` with one connection per request.
-    Proxies come from the environment (``http_proxy``, ``https_proxy``,
-    ``no_proxy``), read once when the backend is built; HTTPS verifies
-    against the system CA store. Redirects are refused: a 301, 302, 303,
-    307 or 308 answer raises :class:`BackendError` naming its ``Location``
-    and is not retried.
+    The transport is ``http.client`` with one connection per request. The
+    route is worked out once, when the backend is built: proxies come from
+    the environment (``http_proxy``, ``https_proxy``, ``no_proxy``) as
+    ``urllib.request`` reads them, and an https endpoint behind a proxy is
+    reached through a ``CONNECT`` tunnel. HTTPS verifies against the system
+    CA store. Redirects are refused: a 301, 302, 303, 307 or 308 answer
+    raises :class:`BackendError` naming its ``Location`` and is not retried.
 
     The request is built and sent with the dialog's turn held (see
     :mod:`todgen.runner`), so it is on the wire before another dialog runs.
     The turn is given up while the request awaits its answer, body
-    included, for a connect to a peer other than a loopback address, and
-    during a retry backoff.
+    included, for a connect unless every peer is a loopback address, and
+    during a retry backoff. A loopback connect takes less time than the
+    other dialog's work that would run before the send if the turn were
+    given up.
     """
 
     def __init__(self, config: BackendConfig, **kwargs):
         super().__init__(**kwargs)
         self.config = config
+        url = urllib.parse.urlsplit(config.endpoint)
+        https = url.scheme == "https"
+        # one request per connection, so a keep-alive server closes it after
+        # the answer
+        self._headers = {"Content-Type": "application/json",
+                         "User-Agent": USER_AGENT, "Connection": "close"}
+        self._tunnel: Optional[dict] = None  # set_tunnel's arguments
+        self._target = urllib.parse.urlunsplit(
+            ("", "", url.path or "/", url.query, ""))
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if not proxy or urllib.request.proxy_bypass(url.netloc):
+            peer, tls, hosts = url.netloc, https, [url.hostname]
+        else:
+            if "://" not in proxy:  # a bare host:port: the endpoint's scheme
+                proxy = f"{url.scheme}://{proxy}"
+            via = urllib.parse.urlsplit(proxy)
+            if via.scheme not in ("http", "https") or not via.hostname:
+                raise ValueError(f"the {url.scheme} proxy must be an http:// "
+                                 "or https:// URL with a host")
+            peer, hosts = via.netloc.rpartition("@")[2], [via.hostname]
+            auth = {}
+            if via.username and via.password:
+                creds = urllib.parse.unquote(f"{via.username}:{via.password}")
+                auth["Proxy-Authorization"] = "Basic " + base64.b64encode(
+                    creds.encode()).decode("ascii")
+            if https:  # TLS to the endpoint, through a CONNECT to the proxy
+                tls = True
+                self._tunnel = {"host": url.netloc, "headers": auth}
+                hosts.append(url.hostname)
+            else:
+                tls = via.scheme == "https"
+                self._target = config.endpoint
+                self._headers.update(auth)
         # one TLS context for every request; loading the CA store costs tens
-        # of milliseconds, so a plain-http endpoint does without it
-        https = urllib.parse.urlsplit(config.endpoint).scheme == "https"
-        context = ssl.create_default_context() if https else None
-        self._opener = urllib.request.build_opener(
-            _HTTPHandler(), _HTTPSHandler(context=context), _NoRedirect())
+        # of milliseconds, so a route without TLS does without it
+        if tls:
+            self._connection = partial(http.client.HTTPSConnection, peer,
+                                       context=ssl.create_default_context())
+        else:
+            self._connection = partial(http.client.HTTPConnection, peer)
+        self._loopback = all(_is_loopback(h) for h in hosts)
 
     def _complete(self, req: CompletionRequest) -> str:
         token = os.environ.get(self.config.auth_env, "")
-        headers = {"Content-Type": "application/json", "User-Agent": USER_AGENT}
+        headers = dict(self._headers)
         if token:
             headers["Authorization"] = f"Bearer {token}"
         data = json.dumps({
@@ -246,11 +233,8 @@ class HttpBackend(Backend):
         last_error: Optional[Exception] = None
         for attempt in range(1, policy.max_attempts + 1):
             delay = policy.backoff * attempt
-            request = urllib.request.Request(
-                self.config.endpoint, data=data, headers=headers,
-                method="POST")
             try:
-                status, answer_headers, body = self._send(request)
+                status, answer_headers, body = self._send(data, headers)
             except BackendError as e:
                 last_error = e
             else:
@@ -283,23 +267,30 @@ class HttpBackend(Backend):
                     time.sleep(delay)
         raise RetryExhaustedError(str(last_error), policy.max_attempts)
 
-    def _send(self, request: urllib.request.Request
+    def _send(self, data: bytes, headers: dict
               ) -> tuple[int, http.client.HTTPMessage, bytes]:
-        """One attempt: the status, the headers and the whole body. A
-        transport failure raises :class:`BackendTimeout` or
+        """One attempt on a new connection: the status, the headers and the
+        whole body. A transport failure raises :class:`BackendTimeout` or
         :class:`BackendError`, both retried."""
+        conn = self._connection(timeout=self.config.timeout)
         try:
-            with self._opener.open(request, timeout=self.config.timeout) as resp:
-                return resp.status, resp.headers, resp.body
-        except urllib.error.HTTPError as e:  # a status outside 2xx
-            e.close()
-            return e.code, e.headers, b""
+            if self._tunnel:
+                conn.set_tunnel(**self._tunnel)
+            if self._loopback:
+                conn.connect()
+            else:
+                with waiting():
+                    conn.connect()
+            conn.request("POST", self._target, data, headers)
+            with waiting(), conn.getresponse() as response:
+                return response.status, response.headers, response.read()
         except (OSError, http.client.HTTPException) as e:
-            # urllib wraps a failed connect in URLError; its reason says why
-            if isinstance(getattr(e, "reason", e), TimeoutError):
+            if isinstance(e, TimeoutError):
                 raise BackendTimeout(
                     f"timed out after {self.config.timeout:g} s") from e
             raise BackendError(f"{type(e).__name__}: {e}") from e
+        finally:
+            conn.close()
 
 
 def _retry_after(header: Optional[str], default: float) -> float:

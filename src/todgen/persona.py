@@ -155,6 +155,7 @@ def sample_occupation(
     )
     request = CompletionRequest(
         messages=(("user", prompt),),
+        temperature=config.temperature, max_tokens=config.max_tokens,
         tag="persona_details",
         metadata={"work_status": status, "occupation_title": title},
     )
@@ -214,7 +215,7 @@ def speaking_habit_for(mbti: str, job_level: str) -> str:
 
 
 def write_introduction(
-    partial: dict, llm: Backend, retries: int
+    partial: dict, llm: Backend, config: PipelineConfig
 ) -> dict:
     """Step 3: backend-written introduction with fictionalized details."""
     surname = partial.get("surname", "")
@@ -230,6 +231,7 @@ def write_introduction(
     )
     request = CompletionRequest(
         messages=(("user", prompt),),
+        temperature=config.temperature, max_tokens=config.max_tokens,
         tag="persona_intro",
         metadata={
             "surname": surname,
@@ -255,7 +257,8 @@ def write_introduction(
         )
         return out
 
-    return complete_validated(llm, request, parse, retries, PersonaError)
+    return complete_validated(llm, request, parse, config.content_retries,
+                              PersonaError)
 
 
 def generate_pool(config: PipelineConfig, llm: Backend) -> list[Persona]:
@@ -274,7 +277,7 @@ def generate_pool(config: PipelineConfig, llm: Backend) -> list[Persona]:
                     rng, occupations, llm, config, persona_id)}
                 partial.update(sample_demographics(rng, surnames))
                 return Persona.from_dict(
-                    write_introduction(partial, llm, config.content_retries))
+                    write_introduction(partial, llm, config))
             except PersonaError:
                 continue
         raise PersonaError(f"could not generate persona {index}")

@@ -162,6 +162,7 @@ def query_database(
     )
     request = CompletionRequest(
         messages=(("user", prompt),),
+        temperature=config.temperature, max_tokens=config.max_tokens,
         tag="db_query",
         metadata={
             "input_values": input_values,

@@ -190,6 +190,7 @@ def evaluate_consistency(
              for values, _, utterance in _checked_turns(dp)]
     request = CompletionRequest(
         messages=(("user", prompt),),
+        temperature=config.temperature, max_tokens=config.max_tokens,
         tag="qc_eval",
         metadata={"pairs": pairs, "datapoint": dp.id},
     )

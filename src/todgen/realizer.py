@@ -230,8 +230,7 @@ def realize_user_turn(
     )
     request = CompletionRequest(
         messages=(("user", prompt),),
-        temperature=config.temperature,
-        max_tokens=config.max_tokens,
+        temperature=config.temperature, max_tokens=config.max_tokens,
         tag="user_turn",
         metadata={"actions": actions, "action_info": _action_info(turn)},
     )
@@ -269,8 +268,7 @@ def realize_system_turn(
     )
     request = CompletionRequest(
         messages=(("user", prompt),),
-        temperature=config.temperature,
-        max_tokens=config.max_tokens,
+        temperature=config.temperature, max_tokens=config.max_tokens,
         tag="system_turn",
         metadata={
             "actions": actions,

@@ -319,6 +319,7 @@ def generate_slot_values(
         )
         request = CompletionRequest(
             messages=(("user", prompt),),
+            temperature=config.temperature, max_tokens=config.max_tokens,
             tag="slot_values",
             metadata={
                 "slots": fill,

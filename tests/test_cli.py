@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from todgen.cli import main
 from todgen.config import ConfigError, PipelineConfig, load_config
 from todgen.dataset import read_dataset
+from todgen.llm import MockBackend
 
 
 @pytest.fixture
@@ -255,6 +256,30 @@ class TestRunAll:
             assert (tmp_path / "c1" / name).read_bytes() == \
                 (tmp_path / "c4" / name).read_bytes(), name
 
+    def test_temperature_and_max_tokens_reach_every_request(
+            self, runner, workdir, monkeypatch):
+        sent = set()  # (tag, temperature, max_tokens)
+        complete = MockBackend._complete
+
+        def recorded(backend, req):
+            sent.add((req.tag, req.temperature, req.max_tokens))
+            return complete(backend, req)
+
+        monkeypatch.setattr(MockBackend, "_complete", recorded)
+        config = workdir / "config.yaml"
+        config.write_text(config.read_text()
+                          + "temperature: 0.2\nmax_tokens: 64\n")
+        run(runner, ["run-all", "--config", str(config)])
+        assert {tag for tag, _, _ in sent} == {
+            "persona_details", "persona_intro", "context", "slot_values",
+            "db_query", "user_turn", "system_turn", "qc_eval"}
+        for tag, temperature, max_tokens in sent:
+            assert temperature == 0.2, tag
+            if tag == "context":  # the budget once per service in the batch
+                assert max_tokens > 0 and max_tokens % 64 == 0
+            else:
+                assert max_tokens == 64, tag
+
     def test_seed_changes_output(self, runner, workdir, tmp_path):
         args = ["run-all", "--config", str(workdir / "config.yaml")]
         run(runner, args + ["--out", str(tmp_path / "a")])
@@ -276,6 +301,16 @@ class TestStageChaining:
                      "stats.txt"):
             assert (Path(staged) / name).read_bytes() == \
                 (Path(allinone) / name).read_bytes(), name
+
+    def test_each_stage_prints_one_message(self, runner, workdir):
+        """A stage names itself and the output directory; it prints no count
+        (``stats`` used to report the keys of its stats dict as records)."""
+        out = workdir / "out"
+        for stage in ("personas", "contexts", "plots", "realize", "qc",
+                      "stats", "split"):
+            result = run(runner, [stage, "--config",
+                                  str(workdir / "config.yaml")])
+            assert result.output == f"{stage}: done; artifacts in {out}\n"
 
     def test_missing_input_reports_producer_stage(self, runner, workdir):
         result = runner.invoke(

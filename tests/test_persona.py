@@ -102,7 +102,7 @@ class TestWriteIntroduction:
     }
 
     def test_mock_introduction_mentions_surname_and_work(self):
-        out = write_introduction(dict(self.PARTIAL), LLM, CFG.content_retries)
+        out = write_introduction(dict(self.PARTIAL), LLM, CFG)
         lowered = out["introduction"].lower()
         assert "garcia" in lowered
         assert "work" in lowered
@@ -111,8 +111,7 @@ class TestWriteIntroduction:
 
     def test_rejects_partial_without_surname(self):
         with pytest.raises(PersonaError, match="no surname"):
-            write_introduction({"work_status": "employed"}, LLM,
-                               CFG.content_retries)
+            write_introduction({"work_status": "employed"}, LLM, CFG)
 
     def test_retries_until_valid(self):
         class FlakyBackend(Backend):
@@ -130,7 +129,8 @@ class TestWriteIntroduction:
                         '"Ana Garcia works as a nurse."}')
 
         backend = FlakyBackend()
-        out = write_introduction(dict(self.PARTIAL), backend, retries=3)
+        out = write_introduction(dict(self.PARTIAL), backend,
+                                 replace(CFG, content_retries=3))
         assert backend.calls == 3
         assert out["first_name"] == "Ana"
 
@@ -140,7 +140,8 @@ class TestWriteIntroduction:
                 return '{"introduction": "mentions Garcia only"}'
 
         with pytest.raises(PersonaError, match="work status"):
-            write_introduction(dict(self.PARTIAL), StubbornBackend(), retries=2)
+            write_introduction(dict(self.PARTIAL), StubbornBackend(),
+                               replace(CFG, content_retries=2))
 
 
 @pytest.fixture(scope="module")
