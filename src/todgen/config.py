@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -65,6 +66,11 @@ class PipelineConfig:
     held_out_service: str = "banking"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type_of(value, f.default):
+                raise ConfigError(
+                    f"{f.name}: expected {_kind(f.default)}, got {value!r}")
         for name in ("kind_ratios", "work_status_weights"):
             weights = getattr(self, name)
             if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
@@ -101,9 +107,7 @@ class PipelineConfig:
         # at least one record: the sampler gives context-requiring intents
         # to every dialog and fails on an empty context
         r = self.record_count_range
-        if not (isinstance(r, (tuple, list)) and len(r) == 2
-                and all(isinstance(v, int) for v in r)
-                and 1 <= r[0] <= r[1]):
+        if not (len(r) == 2 and 1 <= r[0] <= r[1]):
             raise ConfigError(
                 f"record_count_range must be (lo, hi) with 1 <= lo <= hi, "
                 f"got {r}"
@@ -133,6 +137,38 @@ class PipelineConfig:
         if self.industry_table:
             return Path(self.industry_table)
         return data_path("data", "tables", "industries.csv")
+
+
+# per type of a field's default: the types its value may have, and their name
+_TYPES = {int: ((int,), "integer"), float: ((int, float), "number"),
+          str: ((str, os.PathLike), "string"), tuple: ((tuple,), "list")}
+
+
+def _has_type_of(value, default) -> bool:
+    """Whether ``value`` has the type of a field's ``default``: an int passes
+    for a float and a ``Path`` for a string, a bool for nothing. A tuple of
+    numbers is checked item by item; strings in a tuple are left to the
+    field's own check."""
+    types = _TYPES.get(type(default), ((type(default),),))[0]
+    if isinstance(value, bool) or not isinstance(value, types):
+        return False
+    item = _number_item(default)
+    return item is None or all(_has_type_of(v, item) for v in value)
+
+
+def _number_item(default):
+    """The first item of a tuple default of numbers, else None."""
+    if isinstance(default, tuple) and default and not isinstance(default[0], str):
+        return default[0]
+    return None
+
+
+def _kind(default) -> str:
+    """The type of ``default`` as a config error message names it."""
+    item = _number_item(default)
+    if item is not None:
+        return f"list of {_kind(item)}s"
+    return _TYPES.get(type(default), (None, "mapping"))[1]
 
 
 _BACKEND_FIELDS = ("user_backend", "system_backend", "evaluator_backend")

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from .config import PipelineConfig
 from .llm import (
     Backend,
-    CompletionRequest,
     ContentError,
     complete_validated,
     parse_json_object,
@@ -177,18 +176,11 @@ def generate_contexts(
             else ""
         )
     )
-    request = CompletionRequest(
-        messages=(("user", prompt),),
-        temperature=config.temperature,
-        # the per-request token budget once per service in the batch
-        max_tokens=config.max_tokens * len(batch),
-        tag="context",
-        metadata={
-            "services": batch,
-            "contact_dependent": [s for s in services if s in CONTACT_DEPENDENT],
-            "today": today,
-        },
-    )
+    metadata = {
+        "services": batch,
+        "contact_dependent": [s for s in services if s in CONTACT_DEPENDENT],
+        "today": today,
+    }
 
     def parse(completion: str) -> dict[str, AppContext]:
         obj = parse_json_object(completion)
@@ -209,5 +201,7 @@ def generate_contexts(
             for s in services
         }
 
-    return complete_validated(llm, request, parse, config.content_retries,
-                              ContextError)
+    # the per-request token budget once per service in the batch
+    return complete_validated(llm, config, "context", prompt, metadata, parse,
+                              ContextError,
+                              max_tokens=config.max_tokens * len(batch))

@@ -46,19 +46,10 @@ class Datapoint:
     def __post_init__(self):
         self.dialog.validate_against(self.plot)
 
-    @property
-    def labels(self) -> dict:
-        return {
-            "services": list(self.plot.services),
-            "intents": list(self.plot.intents),
-            "kind": self.plot.kind,
-            "phenomena": list(self.plot.phenomena),
-        }
-
     def check_labels(self, schemas: SchemaSet) -> None:
         """Stored labels must match labels recomputed from the plot."""
         derived = derive_labels(self.plot, schemas)
-        stored = self.labels
+        stored = self.plot.labels
         for key in ("kind",):
             if derived[key] != stored[key]:
                 raise DatasetError(

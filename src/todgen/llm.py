@@ -18,13 +18,12 @@ import os
 import random
 import re
 import ssl
-import threading
 import time
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, TypeVar
+from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
 from .runner import waiting
 from .values import (
@@ -34,6 +33,9 @@ from .values import (
     parse_display_date,
     sample_value,
 )
+
+if TYPE_CHECKING:
+    from .config import PipelineConfig
 
 # keep in step with the version in pyproject.toml
 __version__ = "0.1.0"
@@ -112,26 +114,10 @@ class BackendConfig:
 
 
 class Backend:
-    """Base class handling audit logging and accounting."""
-
-    def __init__(self, audit_log: Optional[str] = None):
-        self._audit_log = audit_log
-        self._lock = threading.Lock()
-        self.call_counts: dict[str, int] = {}
+    """A chat-completion backend; subclasses supply ``_complete``."""
 
     def complete(self, req: CompletionRequest) -> str:
-        text = self._complete(req)
-        with self._lock:
-            self.call_counts[req.tag] = self.call_counts.get(req.tag, 0) + 1
-            if self._audit_log:
-                record = {
-                    "tag": req.tag,
-                    "messages": [list(m) for m in req.messages],
-                    "completion": text,
-                }
-                with open(self._audit_log, "a", encoding="utf-8") as f:
-                    f.write(json.dumps(record, ensure_ascii=False) + "\n")
-        return text
+        return self._complete(req)
 
     def _complete(self, req: CompletionRequest) -> str:
         raise NotImplementedError
@@ -173,8 +159,7 @@ class HttpBackend(Backend):
     given up.
     """
 
-    def __init__(self, config: BackendConfig, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self, config: BackendConfig):
         self.config = config
         url = urllib.parse.urlsplit(config.endpoint)
         https = url.scheme == "https"
@@ -325,25 +310,31 @@ def parse_json_object(text: str, opening: str = "{") -> dict | list:
 T = TypeVar("T")
 
 
-def complete_validated(llm: Backend, request: CompletionRequest,
-                       parse: Callable[[str], T], retries: int,
-                       error: type[Exception] = ContentError) -> T:
-    """``parse`` of the first completion it accepts, asking up to ``retries``
-    times. Attempt ``k`` adds ``"attempt": k`` to the request metadata, so
-    the mock answers each attempt afresh. ``parse`` rejects a completion by
-    raising :class:`ContentError`; any other exception, backend errors
-    included, propagates at once. When every attempt is rejected, ``error``
-    is raised with the last reason."""
+def complete_validated(llm: Backend, config: PipelineConfig, tag: str,
+                       prompt: str, metadata: dict,
+                       parse: Callable[[str], T],
+                       error: type[Exception] = ContentError,
+                       max_tokens: Optional[int] = None) -> T:
+    """``parse`` of the first completion it accepts for ``prompt``, sent as
+    one user message under the config's ``temperature`` and ``max_tokens``
+    (or ``max_tokens`` when given), asking up to ``config.content_retries``
+    times. Attempt ``k`` adds ``"attempt": k`` to ``metadata``, so the mock
+    answers each attempt afresh. ``parse`` rejects a completion by raising
+    :class:`ContentError`; any other exception, backend errors included,
+    propagates at once. When every attempt is rejected, ``error`` is raised
+    with the last reason."""
+    retries = config.content_retries
     problem: object = "no attempt made"
     for attempt in range(retries):
-        completion = llm.complete(replace(
-            request, metadata={**(request.metadata or {}), "attempt": attempt}))
+        completion = llm.complete(CompletionRequest(
+            messages=(("user", prompt),), temperature=config.temperature,
+            max_tokens=max_tokens or config.max_tokens, tag=tag,
+            metadata={**metadata, "attempt": attempt}))
         try:
             return parse(completion)
         except ContentError as e:
             problem = e
-    raise error(
-        f"{request.tag} failed validation after {retries} attempts: {problem}")
+    raise error(f"{tag} failed validation after {retries} attempts: {problem}")
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +363,7 @@ class MockBackend(Backend):
     stage parses from a real model, so mock and HTTP runs share code paths.
     """
 
-    def __init__(self, seed: int = 0, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self, seed: int = 0):
         self.seed = seed
 
     def _rng(self, req: CompletionRequest) -> random.Random:
@@ -651,12 +641,11 @@ _MOCK_HANDLERS: dict[str, Callable] = {
 }
 
 
-def make_backend(config: BackendConfig, seed: int,
-                 audit_log: Optional[str] = None) -> Backend:
+def make_backend(config: BackendConfig, seed: int) -> Backend:
     """The backend ``config`` describes; a mock answers under ``seed``, the
     pipeline seed."""
     if config.kind == "mock":
-        return MockBackend(seed=seed, audit_log=audit_log)
+        return MockBackend(seed=seed)
     if config.kind == "http":
-        return HttpBackend(config, audit_log=audit_log)
+        return HttpBackend(config)
     raise ValueError(f"unknown backend kind {config.kind!r}")

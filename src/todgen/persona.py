@@ -15,7 +15,6 @@ from dataclasses import dataclass, asdict
 from .config import PipelineConfig
 from .llm import (
     Backend,
-    CompletionRequest,
     ContentError,
     complete_validated,
     parse_json_object,
@@ -153,12 +152,6 @@ def sample_occupation(
         "intermediate, entry-level, or not-specified). Return JSON with keys "
         "location, affiliation, job_level."
     )
-    request = CompletionRequest(
-        messages=(("user", prompt),),
-        temperature=config.temperature, max_tokens=config.max_tokens,
-        tag="persona_details",
-        metadata={"work_status": status, "occupation_title": title},
-    )
 
     def parse(completion: str) -> dict:
         details = parse_json_object(completion)
@@ -170,8 +163,10 @@ def sample_occupation(
             "job_level": level if level in JOB_LEVELS else "not-specified",
         }
 
-    return complete_validated(llm, request, parse, config.content_retries,
-                              PersonaError)
+    return complete_validated(
+        llm, config, "persona_details", prompt,
+        {"work_status": status, "occupation_title": title}, parse,
+        PersonaError)
 
 
 def sample_demographics(rng: random.Random, table: SurnameTable) -> dict:
@@ -229,17 +224,12 @@ def write_introduction(
         "inventing a first name, age, and hobbies. Mention the surname "
         f"and work situation. Persona: {json.dumps(partial, sort_keys=True)}"
     )
-    request = CompletionRequest(
-        messages=(("user", prompt),),
-        temperature=config.temperature, max_tokens=config.max_tokens,
-        tag="persona_intro",
-        metadata={
-            "surname": surname,
-            "work_status": partial["work_status"],
-            "occupation_title": partial.get("occupation_title", ""),
-            "mbti": partial.get("mbti", ""),
-        },
-    )
+    metadata = {
+        "surname": surname,
+        "work_status": partial["work_status"],
+        "occupation_title": partial.get("occupation_title", ""),
+        "mbti": partial.get("mbti", ""),
+    }
 
     def parse(completion: str) -> dict:
         obj = parse_json_object(completion)
@@ -257,8 +247,8 @@ def write_introduction(
         )
         return out
 
-    return complete_validated(llm, request, parse, config.content_retries,
-                              PersonaError)
+    return complete_validated(llm, config, "persona_intro", prompt, metadata,
+                              parse, PersonaError)
 
 
 def generate_pool(config: PipelineConfig, llm: Backend) -> list[Persona]:

@@ -15,7 +15,6 @@ from .config import PipelineConfig
 from .context import AppContext, context_today
 from .llm import (
     Backend,
-    CompletionRequest,
     ContentError,
     complete_validated,
     parse_json_object,
@@ -91,16 +90,20 @@ class Plot:
             f"@{t.speaker}@: {print_action_list(t.actions)}" for t in self.turns
         )
 
+    @property
+    def labels(self) -> dict:
+        return {
+            "services": list(self.services),
+            "intents": list(self.intents),
+            "kind": self.kind,
+            "phenomena": list(self.phenomena),
+        }
+
     def to_dict(self) -> dict:
         return {
             "turns": self.to_text(),
             "default_styles": [list(s) for s in self.default_styles],
-            "labels": {
-                "services": list(self.services),
-                "intents": list(self.intents),
-                "kind": self.kind,
-                "phenomena": list(self.phenomena),
-            },
+            "labels": self.labels,
         }
 
     @classmethod
@@ -160,18 +163,13 @@ def query_database(
         f"{list(intent.result_slots)}."
         + (f" Today is {today}." if today else "")
     )
-    request = CompletionRequest(
-        messages=(("user", prompt),),
-        temperature=config.temperature, max_tokens=config.max_tokens,
-        tag="db_query",
-        metadata={
-            "input_values": input_values,
-            "result_slots": list(intent.result_slots),
-            "today": today,
-            "service": service,
-            "intent": intent.name,
-        },
-    )
+    metadata = {
+        "input_values": input_values,
+        "result_slots": list(intent.result_slots),
+        "today": today,
+        "service": service,
+        "intent": intent.name,
+    }
 
     def parse(completion: str) -> list[dict]:
         records = parse_json_object(completion, "[")
@@ -189,8 +187,8 @@ def query_database(
                     raise ContentError(f"record missing result slot {slot!r}")
         return records
 
-    return complete_validated(llm, request, parse, config.content_retries,
-                              PlotError)
+    return complete_validated(llm, config, "db_query", prompt, metadata,
+                              parse, PlotError)
 
 
 def _value_args(values: dict, slots) -> tuple[Arg, ...]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .config import PipelineConfig
 from .dataset import Datapoint
-from .llm import Backend, CompletionRequest, ContentError, complete_validated
+from .llm import Backend, ContentError, complete_validated
 from .mr import collect_literals, print_action
 from .realizer import StyledResponse, render_template
 from .runner import run_dialogs
@@ -188,12 +188,6 @@ def evaluate_consistency(
     )
     pairs = [{"utterance": utterance, "values": values}
              for values, _, utterance in _checked_turns(dp)]
-    request = CompletionRequest(
-        messages=(("user", prompt),),
-        temperature=config.temperature, max_tokens=config.max_tokens,
-        tag="qc_eval",
-        metadata={"pairs": pairs, "datapoint": dp.id},
-    )
 
     def parse(completion: str) -> tuple[str, str]:
         text = completion.strip()
@@ -204,7 +198,8 @@ def evaluate_consistency(
         raise ContentError("no verdict")
 
     try:
-        return complete_validated(llm, request, parse, config.content_retries)
+        return complete_validated(llm, config, "qc_eval", prompt,
+                                  {"pairs": pairs, "datapoint": dp.id}, parse)
     except ContentError:
         return "unparseable", "no parseable verdict from the evaluator"
 

@@ -14,7 +14,6 @@ from .config import PipelineConfig, data_path
 from .context import AppContext
 from .llm import (
     Backend,
-    CompletionRequest,
     ContentError,
     complete_validated,
     parse_json_object,
@@ -228,12 +227,6 @@ def realize_user_turn(
             "user_style_instruction": persona.speaking_habit,
         },
     )
-    request = CompletionRequest(
-        messages=(("user", prompt),),
-        temperature=config.temperature, max_tokens=config.max_tokens,
-        tag="user_turn",
-        metadata={"actions": actions, "action_info": _action_info(turn)},
-    )
 
     def parse(completion: str) -> str:
         message = parse_json_object(completion).get("message")
@@ -241,8 +234,10 @@ def realize_user_turn(
             raise ContentError("completion has no 'message' key")
         return message.strip()
 
-    return complete_validated(llm, request, parse, config.content_retries,
-                              RealizerError)
+    return complete_validated(
+        llm, config, "user_turn", prompt,
+        {"actions": actions, "action_info": _action_info(turn)}, parse,
+        RealizerError)
 
 
 def realize_system_turn(
@@ -266,16 +261,11 @@ def realize_system_turn(
             "action[cur_turn]": actions_json,
         },
     )
-    request = CompletionRequest(
-        messages=(("user", prompt),),
-        temperature=config.temperature, max_tokens=config.max_tokens,
-        tag="system_turn",
-        metadata={
-            "actions": actions,
-            "action_info": _action_info(turn),
-            "last_user_utterance": last_user_utterance,
-        },
-    )
+    metadata = {
+        "actions": actions,
+        "action_info": _action_info(turn),
+        "last_user_utterance": last_user_utterance,
+    }
 
     def parse(completion: str) -> StyledResponse:
         variants = parse_json_object(completion)
@@ -287,8 +277,8 @@ def realize_system_turn(
         return StyledResponse(variants=variants,
                               default_key=style_key(*default_style))
 
-    return complete_validated(llm, request, parse, config.content_retries,
-                              RealizerError)
+    return complete_validated(llm, config, "system_turn", prompt, metadata,
+                              parse, RealizerError)
 
 
 def realize_dialog(

@@ -12,7 +12,6 @@ from .config import PipelineConfig
 from .context import AppContext, context_today
 from .llm import (
     Backend,
-    CompletionRequest,
     ContentError,
     complete_validated,
     parse_json_object,
@@ -317,17 +316,12 @@ def generate_slot_values(
             + json.dumps(fill)
             + (f" Today is {today}." if today else "")
         )
-        request = CompletionRequest(
-            messages=(("user", prompt),),
-            temperature=config.temperature, max_tokens=config.max_tokens,
-            tag="slot_values",
-            metadata={
-                "slots": fill,
-                "today": today,
-                "contact_names": contact_names,
-                "dialog": dialog_id,
-            },
-        )
+        metadata = {
+            "slots": fill,
+            "today": today,
+            "contact_names": contact_names,
+            "dialog": dialog_id,
+        }
 
         def parse(completion: str) -> dict:
             values = parse_json_object(completion)
@@ -345,7 +339,7 @@ def generate_slot_values(
             return values
 
         spec.slot_values.update(complete_validated(
-            llm, request, parse, config.content_retries, SamplerError))
+            llm, config, "slot_values", prompt, metadata, parse, SamplerError))
 
     # propagate the inner result into the outer matched slot
     if inner is not None:

@@ -759,6 +759,7 @@ def test_criterion_12_backend_robustness():
             record = realize_dialog(plot, persona, {}, backend, backend, CFG)
         finally:
             server.shutdown()
+            server.server_close()
             thread.join()
         # the user turn took all three HTTP attempts; the system turn took
         # two content attempts, each answered at its first HTTP attempt;

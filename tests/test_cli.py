@@ -116,6 +116,32 @@ class TestConfig:
             load_config(path)
 
     @pytest.mark.parametrize("line", [
+        'dialog_count: "10"',
+        "dialog_count: true",
+        'temperature: "hot"',
+        "seed: 1.5",
+        "services: alarms",
+        'kind_ratios: [0.5, "0.25", 0.25]',
+        "record_count_range: [1.5, 2]",
+        "user_backend: 3",
+    ])
+    def test_wrong_typed_value_fails_before_any_stage(self, runner, tmp_path,
+                                                      line):
+        config = tmp_path / "c.yaml"
+        config.write_text(line + "\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run-all", "--config", str(config),
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        payload = json.loads(result.output.strip().splitlines()[-1])
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith(line.split(":")[0] + ": expected")
+        assert not out.exists()
+
+    def test_int_accepted_for_float(self):
+        assert PipelineConfig(temperature=1).temperature == 1
+
+    @pytest.mark.parametrize("line", [
         "irreversible_intents: {alarms: [delete]}",
         "preference_orders: {alarms: [time]}",
         "record_count_overrides: {alarms: [1, 4]}",

@@ -60,7 +60,7 @@ class TestDatapoint:
 
     def test_labels_property(self, corpus):
         dp = corpus[0]
-        labels = dp.labels
+        labels = dp.plot.labels
         assert labels["kind"] == dp.plot.kind
         assert labels["services"] == list(dp.plot.services)
 

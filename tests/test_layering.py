@@ -1,5 +1,6 @@
 """Module layering: a todgen module uses only the public names of another,
-and no module imports a name it never uses."""
+no module imports a name it never uses, and only ``llm`` builds a
+completion request."""
 
 import ast
 from pathlib import Path
@@ -62,5 +63,19 @@ def test_no_module_imports_a_name_it_never_uses():
         f"{path.relative_to(ROOT)}: {name}"
         for path in sorted([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")])
         for name in _unused_imports(path)
+    }
+    assert offenders == set()
+
+
+def test_only_llm_builds_completion_requests():
+    """Every request goes through ``llm.complete_validated``, which builds it
+    from the config; no other module calls ``CompletionRequest(``."""
+    offenders = {
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "llm.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and "CompletionRequest" in (getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None))
     }
     assert offenders == set()

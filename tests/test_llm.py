@@ -1,4 +1,4 @@
-"""Backend behavior: mock determinism and accounting, HTTP client retry,
+"""Backend behavior: mock determinism, HTTP client retry,
 auth handling, and error surfaces."""
 
 import datetime
@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from todgen import runner
+from todgen.config import PipelineConfig
 from todgen.llm import (
     AuthError,
     Backend,
@@ -68,13 +69,6 @@ class TestMockBackend:
             "services": services, "attempt": 1}))
         assert a != b
 
-    def test_call_accounting(self):
-        backend = MockBackend(seed=0)
-        backend.complete(req(tag="user_turn", content="one two three"))
-        backend.complete(req(tag="user_turn"))
-        backend.complete(req(tag="qc_eval", metadata={"pairs": []}))
-        assert backend.call_counts == {"user_turn": 2, "qc_eval": 1}
-
     def test_request_digest_is_pinned(self):
         """Every mock answer is drawn from a digest of the request's canonical
         JSON; a change to those bytes would change every mock artifact."""
@@ -94,14 +88,6 @@ class TestMockBackend:
         text = "".join(map(chr, range(sys.maxunicode + 1)))
         kept = [c for c in text.lower() if c.isalnum() or c.isspace()]
         assert list(_normalize_for_match(text)) == kept
-
-    def test_audit_log_records_exchanges(self, tmp_path):
-        log = tmp_path / "audit.jsonl"
-        backend = MockBackend(seed=0, audit_log=str(log))
-        backend.complete(req(tag="qc_eval", metadata={"pairs": []}))
-        rows = [json.loads(l) for l in log.read_text().splitlines()]
-        assert rows[0]["tag"] == "qc_eval"
-        assert rows[0]["completion"] == "consistent"
 
     def test_unknown_tag_falls_back(self):
         assert MockBackend(seed=0).complete(req(tag="mystery")) == "OK."
@@ -568,7 +554,6 @@ class Scripted(Backend):
     exceptions) and keeps every request."""
 
     def __init__(self, answers):
-        super().__init__()
         self.answers = list(answers)
         self.requests = []
 
@@ -587,24 +572,39 @@ def parse_int(text):
         raise ContentError(f"not a number: {text!r}") from None
 
 
-class TestCompleteValidated:
-    REQUEST = req(tag="slot_values", metadata={"dialog": "d-1"})
+METADATA = {"dialog": "d-1"}
 
+
+def validated(backend, parse, retries=3, **kwargs):
+    """``complete_validated`` on one fixed slot-values prompt."""
+    config = PipelineConfig(content_retries=retries, temperature=0.3,
+                            max_tokens=64)
+    return complete_validated(backend, config, "slot_values", "pick a time",
+                              METADATA, parse, **kwargs)
+
+
+class TestCompleteValidated:
     def test_attempt_counts_up_in_metadata(self):
         backend = Scripted(["x", "y", "z"])
         with pytest.raises(ContentError):
-            complete_validated(backend, self.REQUEST, parse_int, 3)
+            validated(backend, parse_int)
         assert [r.metadata for r in backend.requests] == [
             {"dialog": "d-1", "attempt": k} for k in range(3)
         ]
-        assert {(r.messages, r.tag) for r in backend.requests} == {
-            (self.REQUEST.messages, "slot_values")
+        assert {(r.messages, r.tag, r.temperature, r.max_tokens)
+                for r in backend.requests} == {
+            ((("user", "pick a time"),), "slot_values", 0.3, 64)
         }
-        assert self.REQUEST.metadata == {"dialog": "d-1"}
+        assert METADATA == {"dialog": "d-1"}
+
+    def test_max_tokens_override(self):
+        backend = Scripted(["1"])
+        assert validated(backend, parse_int, max_tokens=640) == 1
+        assert backend.requests[0].max_tokens == 640
 
     def test_first_valid_parse_wins(self):
         backend = Scripted(["no", "7", "8"])
-        assert complete_validated(backend, self.REQUEST, parse_int, 3) == 7
+        assert validated(backend, parse_int) == 7
         assert len(backend.requests) == 2
 
     def test_exhaustion_raises_given_error_with_last_problem(self):
@@ -615,13 +615,13 @@ class TestCompleteValidated:
         with pytest.raises(StageError, match=(
                 r"^slot_values failed validation after 2 attempts: "
                 r"not a number: 'b'$")):
-            complete_validated(backend, self.REQUEST, parse_int, 2, StageError)
+            validated(backend, parse_int, retries=2, error=StageError)
         assert len(backend.requests) == 2
 
     def test_backend_error_propagates_without_retry(self):
         backend = Scripted([BackendError("down"), "1"])
         with pytest.raises(BackendError, match="down"):
-            complete_validated(backend, self.REQUEST, parse_int, 3)
+            validated(backend, parse_int)
         assert len(backend.requests) == 1
 
     def test_other_parse_errors_propagate_without_retry(self):
@@ -630,7 +630,7 @@ class TestCompleteValidated:
 
         backend = Scripted(["1", "2"])
         with pytest.raises(ValueError, match="bug on 1"):
-            complete_validated(backend, self.REQUEST, parse, 3)
+            validated(backend, parse)
         assert len(backend.requests) == 1
 
 

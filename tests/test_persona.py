@@ -2,6 +2,7 @@
 generation, and serialization."""
 
 import collections
+import threading
 import time
 from dataclasses import replace
 
@@ -116,7 +117,6 @@ class TestWriteIntroduction:
     def test_retries_until_valid(self):
         class FlakyBackend(Backend):
             def __init__(self):
-                super().__init__()
                 self.calls = 0
 
             def _complete(self, req):
@@ -207,6 +207,7 @@ class TestGeneratePool:
         class Waiting(MockBackend):
             def __init__(self, seed):
                 super().__init__(seed)
+                self._lock = threading.Lock()
                 self.in_flight = self.peak = 0
 
             def _complete(self, req):

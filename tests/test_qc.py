@@ -181,7 +181,6 @@ class TestCheckSlotCoverage:
 
 class ScriptedEvaluator(Backend):
     def __init__(self, completions):
-        super().__init__()
         self.completions = list(completions)
 
     def _complete(self, req):

@@ -78,7 +78,6 @@ class ScriptedBackend(Backend):
     """Returns canned completions in order; repeats the last one."""
 
     def __init__(self, completions):
-        super().__init__()
         self.completions = list(completions)
         self.calls = 0
 
