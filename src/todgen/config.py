@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 import datetime as dt
-import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_origin, get_type_hints
 from urllib.parse import urlsplit
 
 import yaml
 
-from .llm import BackendConfig, RetryPolicy
+from .llm import BackendConfig
 
 __all__ = ["PipelineConfig", "ConfigError", "load_config", "data_path"]
 
@@ -66,11 +65,6 @@ class PipelineConfig:
     held_out_service: str = "banking"
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _has_type_of(value, f.default):
-                raise ConfigError(
-                    f"{f.name}: expected {_kind(f.default)}, got {value!r}")
         for name in ("kind_ratios", "work_status_weights"):
             weights = getattr(self, name)
             if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
@@ -139,41 +133,7 @@ class PipelineConfig:
         return data_path("data", "tables", "industries.csv")
 
 
-# per type of a field's default: the types its value may have, and their name
-_TYPES = {int: ((int,), "integer"), float: ((int, float), "number"),
-          str: ((str, os.PathLike), "string"), tuple: ((tuple,), "list")}
-
-
-def _has_type_of(value, default) -> bool:
-    """Whether ``value`` has the type of a field's ``default``: an int passes
-    for a float and a ``Path`` for a string, a bool for nothing. A tuple of
-    numbers is checked item by item; strings in a tuple are left to the
-    field's own check."""
-    types = _TYPES.get(type(default), ((type(default),),))[0]
-    if isinstance(value, bool) or not isinstance(value, types):
-        return False
-    item = _number_item(default)
-    return item is None or all(_has_type_of(v, item) for v in value)
-
-
-def _number_item(default):
-    """The first item of a tuple default of numbers, else None."""
-    if isinstance(default, tuple) and default and not isinstance(default[0], str):
-        return default[0]
-    return None
-
-
-def _kind(default) -> str:
-    """The type of ``default`` as a config error message names it."""
-    item = _number_item(default)
-    if item is not None:
-        return f"list of {_kind(item)}s"
-    return _TYPES.get(type(default), (None, "mapping"))[1]
-
-
 _BACKEND_FIELDS = ("user_backend", "system_backend", "evaluator_backend")
-_BACKEND_KEYS = {"kind", "endpoint", "model", "auth_env", "timeout", "retry"}
-_RETRY_KEYS = {"max_attempts", "backoff"}
 
 
 def _check_backend(name: str, b: BackendConfig) -> None:
@@ -205,43 +165,9 @@ def _check_backend(name: str, b: BackendConfig) -> None:
         )
 
 
-# backend values a YAML file may give as another type; the rest pass as given
-_BACKEND_CASTS = {"timeout": float, "max_attempts": int, "backoff": float}
-
-
-def _cast(mapping: dict) -> dict:
-    return {k: _BACKEND_CASTS[k](v) if k in _BACKEND_CASTS else v
-            for k, v in mapping.items()}
-
-
-def _backend_from_dict(name: str, obj: dict) -> BackendConfig:
-    """A backend built from the keys ``obj`` gives; the dataclass defaults
-    fill the rest."""
-    retry = obj.get("retry", {})
-    if not isinstance(retry, dict):
-        raise ConfigError(f"{name}.retry must be a mapping, got {retry!r}")
-    unknown = sorted(set(obj) - _BACKEND_KEYS) + sorted(
-        f"retry.{k}" for k in set(retry) - _RETRY_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown keys in {name}: {unknown}")
-    try:
-        fields = _cast({k: v for k, v in obj.items() if k != "retry"})
-        return BackendConfig(**fields, retry=RetryPolicy(**_cast(retry)))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{name}: {e}") from e
-
-
-_TUPLE_FIELDS = {
-    "work_status_weights",
-    "kind_ratios",
-    "record_count_range",
-    "time_window",
-    "services",
-}
-
-
 def load_config(path: Optional[str] = None, **overrides) -> PipelineConfig:
-    """Load a YAML config file and apply keyword overrides."""
+    """Load a YAML config file and apply keyword overrides; both are checked
+    by one rule, ``_build``'s, at every level."""
     values: dict = {}
     if path:
         p = Path(path)
@@ -252,14 +178,72 @@ def load_config(path: Optional[str] = None, **overrides) -> PipelineConfig:
             raise ConfigError(f"config root must be a mapping: {p}")
         values.update(raw)
     values.update({k: v for k, v in overrides.items() if v is not None})
-    for key in _BACKEND_FIELDS:
-        if isinstance(values.get(key), dict):
-            values[key] = _backend_from_dict(key, values[key])
-    for key in _TUPLE_FIELDS:
-        if isinstance(values.get(key), list):
-            values[key] = tuple(values[key])
-    known = set(PipelineConfig.__dataclass_fields__)
-    unknown = set(values) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return PipelineConfig(**values)
+    return _build(PipelineConfig, values, ())
+
+
+# per field type, the other types its value may have
+_STAND_INS = {float: (int,), str: (Path,)}
+# a field's type as an error message names it
+_NAMES = {int: "integer", float: "number", str: "string", bool: "boolean"}
+
+
+def _build(cls, values: dict, path: tuple[str, ...]):
+    """A ``cls``, one of the config dataclasses, from the mapping ``values``
+    found at the dotted ``path``. Each value goes through ``_convert``; the
+    dataclass defaults fill the keys ``values`` does not give."""
+    names = {f.name for f in fields(cls)}
+    unknown = sorted(str(k) for k in values if k not in names)
+    if unknown and not path:
+        raise ConfigError(f"unknown config keys: {unknown}")
+    if unknown:  # named by their dotted path inside the top-level key
+        head, *rest = path
+        raise ConfigError(f"unknown keys in {head}: "
+                          f"{['.'.join([*rest, k]) for k in unknown]}")
+    hints = get_type_hints(cls)
+    kwargs = {k: _convert(hints[k], v, (*path, k)) for k, v in values.items()}
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as e:  # BackendConfig's own check of its endpoint
+        raise ConfigError(f"{'.'.join(path)}: {e}") from e
+
+
+def _convert(tp, value, path: tuple[str, ...]):
+    """``value`` as the value of a field annotated ``tp``: a mapping becomes
+    the dataclass ``tp`` and a list a tuple. Any other value, and each tuple
+    item, must be an instance of its annotation; an int may stand for a
+    float and a ``Path`` for a string, a bool for nothing else."""
+    if is_dataclass(tp) and isinstance(value, dict):
+        return _build(tp, value, path)
+    if get_origin(tp) is not tuple:
+        if _is_a(value, tp):
+            return value
+    elif isinstance(value, (list, tuple)):
+        types = get_args(tp)
+        if types[1:] == (...,):
+            types = types[:1] * len(value)
+        if len(types) == len(value) and all(map(_is_a, value, types)):
+            return tuple(value)
+    items = value if isinstance(value, list) else [value]
+    hint = ("; YAML reads an unquoted date as a date, so write quoted ISO dates"
+            if any(isinstance(v, dt.date) for v in items) else "")
+    raise ConfigError(
+        f"{'.'.join(path)}: expected {_describe(tp)}, got {value!r}{hint}")
+
+
+def _is_a(value, tp) -> bool:
+    if isinstance(value, bool) and tp is not bool:
+        return False
+    return isinstance(value, (tp, *_STAND_INS.get(tp, ())))
+
+
+def _describe(tp) -> str:
+    """The annotation ``tp`` as an error message names it."""
+    if is_dataclass(tp):
+        return "mapping"
+    if get_origin(tp) is not tuple:
+        return _NAMES[tp]
+    item, *rest = get_args(tp)
+    count = "" if rest == [...] else f"{len(rest) + 1} "
+    return f"list of {count}{_describe(item)}s"

@@ -280,8 +280,11 @@ class HttpBackend(Backend):
 
 def _retry_after(header: Optional[str], default: float) -> float:
     """Seconds to wait from a ``Retry-After`` header in its delay-seconds form;
-    ``default`` when the header is absent or an HTTP date."""
-    return float(header) if header and header.strip().isdigit() else default
+    ``default`` when the header is absent, an HTTP date or anything else.
+    Only ASCII digits count: ``str.isdigit`` also passes digits such as a
+    latin-1 superscript two, which ``float`` rejects."""
+    value = (header or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else default
 
 
 class ContentError(ValueError):

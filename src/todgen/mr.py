@@ -31,6 +31,8 @@ __all__ = [
     "parse_action_list",
     "print_action",
     "print_action_list",
+    "matching_records",
+    "order_records",
     "resolve_referral",
     "apply_self_correction",
     "collect_literals",
@@ -339,6 +341,19 @@ def _is_check_call(seg: Segment) -> bool:
     )
 
 
+def matching_records(records: list, filters: list) -> list:
+    """The records that match every ``(slot, value)`` filter: a record's
+    slot value and the filter value compare as strings."""
+    return [r for r in records
+            if all(str(r.get(slot)) == str(value) for slot, value in filters)]
+
+
+def order_records(records: list, slot: str) -> list:
+    """``records`` sorted ascending by the string of their ``slot`` value;
+    ties keep their order."""
+    return sorted(records, key=lambda r: str(r.get(slot)))
+
+
 def resolve_referral(a: Action, ctx) -> Union[dict, list, Value]:
     """Evaluate a context-getter action over an app context.
 
@@ -349,18 +364,14 @@ def resolve_referral(a: Action, ctx) -> Union[dict, list, Value]:
     """
     if not a.head.startswith("get_"):
         raise MRResolutionError(f"{a.head!r} is not a context getter")
-    records = list(ctx.records)
-    for arg in a.args:
-        if arg.keyword in _SELECTOR_KEYS or arg.keyword is None:
-            continue
-        records = [
-            r for r in records if str(r.get(arg.keyword)) == str(arg.value)
-        ]
+    records = matching_records(ctx.records, [
+        (arg.keyword, arg.value) for arg in a.args
+        if arg.keyword is not None and arg.keyword not in _SELECTOR_KEYS])
     ordered_by = a.arg_value("ordered_by")
     if ordered_by is not None:
         if records and ordered_by not in records[0]:
             raise MRResolutionError(f"unknown slot {ordered_by!r} in ordered_by")
-        records = sorted(records, key=lambda r: str(r.get(ordered_by)))
+        records = order_records(records, ordered_by)
     index = a.arg_value("index")
     if index is not None:
         if not 0 <= index < len(records):

@@ -25,6 +25,8 @@ from .mr import (
     Call,
     FieldAccess,
     Turn,
+    matching_records,
+    order_records,
     parse_action_list,
     print_action_list,
     resolve_referral,
@@ -135,10 +137,7 @@ def choose_referring_expression(
     usable = [s for s in preference if s in target]
     for size in range(1, len(usable) + 1):
         for combo in combinations(usable, size):
-            matches = [
-                r for r in records
-                if all(str(r.get(s)) == str(target[s]) for s in combo)
-            ]
+            matches = matching_records(records, [(s, target[s]) for s in combo])
             if len(matches) == 1:
                 return combo
     raise PlotError("no referring expression disambiguates the target record")
@@ -204,7 +203,7 @@ def _input_values(spec: DialogSpecimen, service: str, intent: IntentSpec) -> dic
 def _index_referral(records: list, target: dict, slot: str) -> tuple[Arg, Arg]:
     """``ordered_by``/``index`` args that pick out ``target`` among the
     records sorted by ``slot``."""
-    ordered = sorted(records, key=lambda r: str(r.get(slot)))
+    ordered = order_records(records, slot)
     return Arg("ordered_by", slot), Arg("index", ordered.index(target))
 
 
@@ -755,14 +754,10 @@ def _mirroring_unsafe(
                 return True
         ctx = _getter_context(action, contexts)
         if ctx is not None and not action.has_arg("index"):
-            filters = [a for a in action.args if a.keyword and a.value is not None]
-            if filters:
-                matches = [
-                    r for r in ctx.records
-                    if all(str(r.get(f.keyword)) == str(f.value) for f in filters)
-                ]
-                if len(matches) > 1:
-                    return True
+            filters = [(a.keyword, a.value) for a in action.args
+                       if a.keyword and a.value is not None]
+            if filters and len(matching_records(ctx.records, filters)) > 1:
+                return True
         return False
 
     return any(scan(a) for a in user_turn.actions)

@@ -1,7 +1,9 @@
 """CLI: stage commands, checkpoint chaining, configuration handling, and
 failure reporting."""
 
+import dataclasses
 import json
+import typing
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,36 @@ def run(runner, args):
     result = runner.invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 0, result.output
     return result
+
+
+# a value of the wrong type for a field of each type a config field has
+_WRONG = {int: 2.7, float: "0.5", str: 7}
+
+
+def _wrong_values(cls):
+    """``(path, value)`` for each field of ``cls``, and of each config nested
+    in it, with a value of the wrong type."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        tp = hints[f.name]
+        if dataclasses.is_dataclass(tp):
+            yield (f.name,), 3
+            for path, value in _wrong_values(tp):
+                yield (f.name, *path), value
+        elif typing.get_origin(tp) is tuple:
+            yield (f.name,), [_WRONG[t] for t in typing.get_args(tp)
+                              if t is not Ellipsis]
+        else:
+            yield (f.name,), _WRONG[tp]
+
+
+def _wrong_typed_fields():
+    """``(dotted path, YAML text)``: one config field at any level with a
+    wrong-typed value, for every field in turn."""
+    for path, value in _wrong_values(PipelineConfig):
+        for name in reversed(path):
+            value = {name: value}
+        yield ".".join(path), json.dumps(value)
 
 
 class TestConfig:
@@ -138,8 +170,38 @@ class TestConfig:
         assert payload["message"].startswith(line.split(":")[0] + ": expected")
         assert not out.exists()
 
+    @pytest.mark.parametrize("path, text", [
+        *_wrong_typed_fields(),
+        ("user_backend.retry.max_attempts",
+         "user_backend: {retry: {max_attempts: 2.7}}"),
+        ("user_backend.retry.max_attempts",
+         "user_backend: {retry: {max_attempts: true}}"),
+        ("user_backend.timeout", "user_backend: {timeout: '30'}"),
+        ("user_backend.retry.backoff", "user_backend: {retry: {backoff: '0.5'}}"),
+        ("user_backend.model", "user_backend: {model: 7}"),
+        ("user_backend.auth_env", "user_backend: {auth_env: [1]}"),
+        ("user_backend.endpoint", "user_backend: {endpoint: 5}"),
+        ("services", "services: [1]"),
+    ])
+    def test_wrong_typed_field_fails_before_any_stage(
+            self, runner, tmp_path, monkeypatch, path, text):
+        """Every field of every config level, and each line that an earlier
+        loader accepted or mis-reported, fails by its dotted path. No
+        ``--out``, so a wrong ``output_dir`` is not overridden."""
+        monkeypatch.chdir(tmp_path)
+        Path("c.yaml").write_text(text + "\n")
+        result = runner.invoke(main, ["run-all", "--config", "c.yaml"])
+        assert result.exit_code == 1
+        payload = json.loads(result.output.strip().splitlines()[-1])
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith(path + ": expected")
+        assert [p.name for p in tmp_path.iterdir()] == ["c.yaml"]
+
     def test_int_accepted_for_float(self):
         assert PipelineConfig(temperature=1).temperature == 1
+
+    def test_path_accepted_for_string(self, tmp_path):
+        assert load_config(output_dir=tmp_path).output_dir == tmp_path
 
     @pytest.mark.parametrize("line", [
         "irreversible_intents: {alarms: [delete]}",
@@ -208,8 +270,8 @@ class TestBackendConfig:
     @pytest.mark.parametrize("backend, message", [
         ("{kind: quantum}", "kind must be 'mock' or 'http'"),
         ("{kind: http}", "requires an endpoint"),
-        ("{kind: mock, timeout: soon}", "could not convert"),
-        ("{kind: mock, retry: 3}", "retry must be a mapping"),
+        ("{kind: mock, timeout: soon}", "timeout: expected number"),
+        ("{kind: mock, retry: 3}", "retry: expected mapping"),
         ("{kind: mock, seed: 3}", "unknown keys in user_backend: .'seed'."),
     ])
     def test_malformed_backend_values_rejected(self, tmp_path, backend, message):

@@ -204,6 +204,7 @@ class TestHttpBackend:
         ("2", 2.0),                              # delay-seconds: honoured
         (None, 0.25),                            # absent: policy backoff
         ("Wed, 21 Oct 2026 07:28:00 GMT", 0.25),  # HTTP date: policy backoff
+        ("\xb2", 0.25),  # latin-1 superscript two: a digit, not ASCII
     ])
     def test_rate_limit_is_retried(self, stub_server, monkeypatch, header, wait):
         _StubHandler.script = [429, 200]
