@@ -25,7 +25,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -56,23 +55,14 @@ def _fail(stage: str, error: Exception) -> None:
 
 
 def _build_config(config, seed, count, services, backend, out) -> PipelineConfig:
-    overrides: dict = {}
-    if seed is not None:
-        overrides["seed"] = seed
-    if count is not None:
-        overrides["dialog_count"] = count
+    overrides: dict = {"seed": seed, "dialog_count": count, "output_dir": out}
     if services:
         overrides["services"] = tuple(s.strip() for s in services.split(","))
-    if out is not None:
-        overrides["output_dir"] = out
+    if backend is not None:  # merged into each backend mapping of the YAML
+        overrides.update((f"{role}_backend", {"kind": backend})
+                         for role in ("user", "system", "evaluator"))
     cfg = load_config(config, **overrides)
-    if backend is not None:
-        cfg = replace(
-            cfg,
-            user_backend=replace(cfg.user_backend, kind=backend),
-            system_backend=replace(cfg.system_backend, kind=backend),
-            evaluator_backend=replace(cfg.evaluator_backend, kind=backend),
-        )
+    _schemas(cfg)  # a bad schema set or services subset fails before any stage
     return cfg
 
 

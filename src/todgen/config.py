@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional, get_args, get_origin, get_type_hints
+from typing import Optional
 from urllib.parse import urlsplit
 
 import yaml
 
 from .llm import BackendConfig
+from .typed import BuildError, build
 
 __all__ = ["PipelineConfig", "ConfigError", "load_config", "data_path"]
 
@@ -166,8 +167,9 @@ def _check_backend(name: str, b: BackendConfig) -> None:
 
 
 def load_config(path: Optional[str] = None, **overrides) -> PipelineConfig:
-    """Load a YAML config file and apply keyword overrides; both are checked
-    by one rule, ``_build``'s, at every level."""
+    """Load a YAML config file and apply keyword overrides, a mapping merged
+    into the mapping it overrides; both are checked by one rule,
+    ``typed.build``'s, at every level."""
     values: dict = {}
     if path:
         p = Path(path)
@@ -177,73 +179,21 @@ def load_config(path: Optional[str] = None, **overrides) -> PipelineConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"config root must be a mapping: {p}")
         values.update(raw)
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    return _build(PipelineConfig, values, ())
-
-
-# per field type, the other types its value may have
-_STAND_INS = {float: (int,), str: (Path,)}
-# a field's type as an error message names it
-_NAMES = {int: "integer", float: "number", str: "string", bool: "boolean"}
-
-
-def _build(cls, values: dict, path: tuple[str, ...]):
-    """A ``cls``, one of the config dataclasses, from the mapping ``values``
-    found at the dotted ``path``. Each value goes through ``_convert``; the
-    dataclass defaults fill the keys ``values`` does not give."""
-    names = {f.name for f in fields(cls)}
-    unknown = sorted(str(k) for k in values if k not in names)
-    if unknown and not path:
-        raise ConfigError(f"unknown config keys: {unknown}")
-    if unknown:  # named by their dotted path inside the top-level key
-        head, *rest = path
-        raise ConfigError(f"unknown keys in {head}: "
-                          f"{['.'.join([*rest, k]) for k in unknown]}")
-    hints = get_type_hints(cls)
-    kwargs = {k: _convert(hints[k], v, (*path, k)) for k, v in values.items()}
+    for k, v in overrides.items():
+        if isinstance(v, dict):
+            # merged into the YAML mapping; a YAML value that is no mapping
+            # is kept, so that the builder reports it
+            old = values.get(k, {})
+            v = {**old, **v} if isinstance(old, dict) else old
+        if v is not None:
+            values[k] = v
     try:
-        return cls(**kwargs)
-    except ConfigError:
-        raise
-    except ValueError as e:  # BackendConfig's own check of its endpoint
-        raise ConfigError(f"{'.'.join(path)}: {e}") from e
-
-
-def _convert(tp, value, path: tuple[str, ...]):
-    """``value`` as the value of a field annotated ``tp``: a mapping becomes
-    the dataclass ``tp`` and a list a tuple. Any other value, and each tuple
-    item, must be an instance of its annotation; an int may stand for a
-    float and a ``Path`` for a string, a bool for nothing else."""
-    if is_dataclass(tp) and isinstance(value, dict):
-        return _build(tp, value, path)
-    if get_origin(tp) is not tuple:
-        if _is_a(value, tp):
-            return value
-    elif isinstance(value, (list, tuple)):
-        types = get_args(tp)
-        if types[1:] == (...,):
-            types = types[:1] * len(value)
-        if len(types) == len(value) and all(map(_is_a, value, types)):
-            return tuple(value)
-    items = value if isinstance(value, list) else [value]
-    hint = ("; YAML reads an unquoted date as a date, so write quoted ISO dates"
-            if any(isinstance(v, dt.date) for v in items) else "")
-    raise ConfigError(
-        f"{'.'.join(path)}: expected {_describe(tp)}, got {value!r}{hint}")
-
-
-def _is_a(value, tp) -> bool:
-    if isinstance(value, bool) and tp is not bool:
-        return False
-    return isinstance(value, (tp, *_STAND_INS.get(tp, ())))
-
-
-def _describe(tp) -> str:
-    """The annotation ``tp`` as an error message names it."""
-    if is_dataclass(tp):
-        return "mapping"
-    if get_origin(tp) is not tuple:
-        return _NAMES[tp]
-    item, *rest = get_args(tp)
-    count = "" if rest == [...] else f"{len(rest) + 1} "
-    return f"list of {count}{_describe(item)}s"
+        return build(PipelineConfig, values)
+    except BuildError as e:
+        if not e.unknown:
+            raise ConfigError(str(e)) from e
+        if not e.path:
+            raise ConfigError(f"unknown config keys: {list(e.unknown)}") from e
+        head, *rest = e.path  # each key named by its path inside ``head``
+        raise ConfigError(f"unknown keys in {head}: "
+                          f"{['.'.join([*rest, k]) for k in e.unknown]}") from e

@@ -174,16 +174,13 @@ def query_database(
         records = parse_json_object(completion, "[")
         if len(records) != 5:
             raise ContentError("expected exactly 5 records")
-        for r in records:
-            if not isinstance(r, dict):
-                raise ContentError("record is not an object")
-            for k, v in input_values.items():
-                if str(r.get(k)) != str(v):
-                    raise ContentError(
-                        f"record field {k!r} inconsistent with input")
-            for slot in intent.result_slots:
-                if slot not in r:
-                    raise ContentError(f"record missing result slot {slot!r}")
+        if not all(isinstance(r, dict) for r in records):
+            raise ContentError("record is not an object")
+        if len(matching_records(records, input_values.items())) != 5:
+            raise ContentError("a record does not echo every input value")
+        missing = [s for s in intent.result_slots if any(s not in r for r in records)]
+        if missing:
+            raise ContentError(f"record missing result slot {missing[0]!r}")
         return records
 
     return complete_validated(llm, config, "db_query", prompt, metadata,

@@ -3,7 +3,8 @@
 A schema file is JSON with keys ``service_name``, ``intent_operations`` and
 ``slots``. Each intent carries meta-indicator flags that steer plot
 construction (e.g. ``require_confirmation``). Unknown fields are rejected so
-meta-indicator typos fail loudly at load time.
+meta-indicator typos fail loudly at load time, and every field must have the
+type of its annotation.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
+
+from .typed import BuildError, build
 
 __all__ = [
     "SlotSpec",
@@ -26,7 +29,8 @@ __all__ = [
 
 
 class SchemaError(ValueError):
-    """Schema parse or validation failure, with a path to the offending field."""
+    """Schema parse or validation failure, naming the file and the path to
+    the offending field."""
 
     def __init__(self, path: str, message: str):
         self.path = path
@@ -103,116 +107,31 @@ class ServiceSchema:
         return closure
 
 
-_SLOT_FIELDS = {"name", "description", "potential_values", "alias"}
-_INTENT_FIELDS = {
-    "name",
-    "description",
-    "require_context",
-    "require_confirmation",
-    "return_list",
-    "report_result",
-    "minimum_input_slot_number",
-    "minimum_initial_slots",
-    "summary_emphasis_slots",
-    "required_slots",
-    "optional_slots",
-    "result_slots",
-}
-_SERVICE_FIELDS = {"service_name", "intent_operations", "slots"}
-
-
-def _check_fields(obj: dict, allowed: set[str], path: str):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise SchemaError(f"{path}.{sorted(unknown)[0]}", "unknown field")
-
-
-def _str_list(obj, path: str) -> tuple[str, ...]:
-    if not isinstance(obj, list) or not all(isinstance(x, str) for x in obj):
-        raise SchemaError(path, "expected a list of strings")
-    return tuple(obj)
-
-
-def _parse_slot(obj: dict, path: str) -> SlotSpec:
-    _check_fields(obj, _SLOT_FIELDS, path)
-    name = obj.get("name")
-    if not isinstance(name, str) or not name:
-        raise SchemaError(f"{path}.name", "slot name must be a nonempty string")
-    alias = _str_list(obj.get("alias", []), f"{path}.alias")
-    if name in alias:
-        raise SchemaError(f"{path}.alias", f"slot {name!r} aliases itself")
-    return SlotSpec(
-        name=name,
-        description=obj.get("description", ""),
-        potential_values=_str_list(
-            obj.get("potential_values", []), f"{path}.potential_values"
-        ),
-        alias=alias,
-    )
-
-
-def _parse_intent(obj: dict, path: str) -> IntentSpec:
-    _check_fields(obj, _INTENT_FIELDS, path)
-    name = obj.get("name")
-    if not isinstance(name, str) or not name:
-        raise SchemaError(f"{path}.name", "intent name must be a nonempty string")
-    kwargs = {"name": name, "description": obj.get("description", "")}
-    for flag in (
-        "require_context",
-        "require_confirmation",
-        "return_list",
-        "report_result",
-    ):
-        if flag in obj:
-            if not isinstance(obj[flag], bool):
-                raise SchemaError(f"{path}.{flag}", "expected a boolean")
-            kwargs[flag] = obj[flag]
-    if "minimum_input_slot_number" in obj:
-        n = obj["minimum_input_slot_number"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise SchemaError(
-                f"{path}.minimum_input_slot_number", "expected a count >= 0"
-            )
-        kwargs["minimum_input_slot_number"] = n
-    for lst in (
-        "minimum_initial_slots",
-        "summary_emphasis_slots",
-        "required_slots",
-        "optional_slots",
-        "result_slots",
-    ):
-        if lst in obj:
-            kwargs[lst] = _str_list(obj[lst], f"{path}.{lst}")
-    return IntentSpec(**kwargs)
-
-
 def _validate_service(svc: ServiceSchema):
-    path = f"service {svc.service_name!r}"
-    slot_names = [s.name for s in svc.slots]
-    if len(slot_names) != len(set(slot_names)):
-        dup = next(n for n in slot_names if slot_names.count(n) > 1)
-        raise SchemaError(f"{path}.slots", f"duplicate slot name {dup!r}")
-    intent_names = [i.name for i in svc.intent_operations]
-    if len(intent_names) != len(set(intent_names)):
-        dup = next(n for n in intent_names if intent_names.count(n) > 1)
-        raise SchemaError(f"{path}.intent_operations", f"duplicate intent {dup!r}")
-    # alias cycles within the service's own slot graph
-    for slot in svc.slots:
-        seen = {slot.name}
-        stack = list(slot.alias)
-        while stack:
-            cur = stack.pop()
-            if cur == slot.name:
-                raise SchemaError(
-                    f"{path}.slots.{slot.name}.alias", "alias cycle detected"
-                )
-            if cur in seen or not svc.has_slot(cur):
-                continue
-            seen.add(cur)
-            stack.extend(svc.slot(cur).alias)
-    defined = set(slot_names)
-    for intent in svc.intent_operations:
-        ipath = f"{path}.intent_operations.{intent.name}"
+    """The checks the field annotations cannot express, each failing with a
+    ``BuildError`` at the path of the offending field."""
+    if not svc.service_name:
+        raise BuildError(("service_name",), "must be a nonempty string")
+    for key in ("slots", "intent_operations"):
+        names = [x.name for x in getattr(svc, key)]
+        for i, name in enumerate(names):
+            if not name:
+                raise BuildError((key, i, "name"), "must be a nonempty string")
+            if name in names[:i]:
+                raise BuildError((key, i, "name"), f"duplicate name {name!r}")
+    for i, slot in enumerate(svc.slots):
+        if slot.name in slot.alias:
+            raise BuildError(("slots", i, "alias"),
+                             f"slot {slot.name!r} aliases itself")
+    for diagnostic in validate_schema_set([svc]):  # its own alias cycles
+        raise BuildError(("slots",), diagnostic)
+    defined = {s.name for s in svc.slots}
+    for i, intent in enumerate(svc.intent_operations):
+        at = ("intent_operations", i)
+        n = intent.minimum_input_slot_number
+        if n < 0:
+            raise BuildError((*at, "minimum_input_slot_number"),
+                             f"expected a count >= 0, got {n}")
         for lst_name in (
             "required_slots",
             "optional_slots",
@@ -222,9 +141,8 @@ def _validate_service(svc: ServiceSchema):
         ):
             for ref in getattr(intent, lst_name):
                 if ref not in defined:
-                    raise SchemaError(
-                        f"{ipath}.{lst_name}", f"references undefined slot {ref!r}"
-                    )
+                    raise BuildError((*at, lst_name),
+                                     f"references undefined slot {ref!r}")
         req, opt, res = (
             set(intent.required_slots),
             set(intent.optional_slots),
@@ -232,39 +150,27 @@ def _validate_service(svc: ServiceSchema):
         )
         overlap = (req & opt) | (req & res) | (opt & res)
         if overlap:
-            raise SchemaError(
-                ipath, f"slot {sorted(overlap)[0]!r} listed in two slot groups"
+            raise BuildError(
+                at, f"slot {sorted(overlap)[0]!r} listed in two slot groups"
             )
-        if intent.minimum_input_slot_number > len(req) + len(opt):
-            raise SchemaError(
-                f"{ipath}.minimum_input_slot_number",
-                "exceeds number of required + optional slots",
-            )
+        if n > len(req) + len(opt):
+            raise BuildError((*at, "minimum_input_slot_number"),
+                             "exceeds number of required + optional slots")
 
 
 def load_schema(source: Union[Path, str]) -> ServiceSchema:
-    """Load one service schema from a file path or from JSON text."""
+    """Load one service schema from a file path or from JSON text. The
+    fields are checked by ``typed.build``, the rule configs are checked by;
+    an error names the file (``<document>`` for text) and the dotted path."""
+    where = str(source) if isinstance(source, Path) else "<document>"
     text = source.read_text(encoding="utf-8") if isinstance(source, Path) else source
     try:
-        obj = json.loads(text)
+        svc = build(ServiceSchema, json.loads(text))
+        _validate_service(svc)
     except json.JSONDecodeError as e:
-        raise SchemaError("<document>", f"malformed JSON: {e}") from e
-    if not isinstance(obj, dict):
-        raise SchemaError("<document>", "expected a JSON object")
-    _check_fields(obj, _SERVICE_FIELDS, "<document>")
-    name = obj.get("service_name")
-    if not isinstance(name, str) or not name:
-        raise SchemaError("service_name", "must be a nonempty string")
-    slots = tuple(
-        _parse_slot(s, f"slots[{i}]")
-        for i, s in enumerate(obj.get("slots", []))
-    )
-    intents = tuple(
-        _parse_intent(x, f"intent_operations[{i}]")
-        for i, x in enumerate(obj.get("intent_operations", []))
-    )
-    svc = ServiceSchema(service_name=name, intent_operations=intents, slots=slots)
-    _validate_service(svc)
+        raise SchemaError(where, f"malformed JSON: {e}") from e
+    except BuildError as e:
+        raise SchemaError(where, str(e)) from e
     return svc
 
 
@@ -293,7 +199,7 @@ def validate_schema_set(schemas: Iterable[ServiceSchema]) -> list[str]:
             return
         if state.get(node) == 1:
             cycle = trail[trail.index(node):] + (node,)
-            diagnostics.append("alias cycle: " + " -> ".join(cycle))
+            diagnostics.append("alias cycle detected: " + " -> ".join(cycle))
             return
         state[node] = 1
         for nxt in sorted(edges.get(node, ())):
@@ -327,6 +233,10 @@ class SchemaSet:
 
     def subset(self, names: Iterable[str]) -> "SchemaSet":
         names = list(names)
+        unknown = [n for n in names if not self.has_service(n)]
+        if unknown:
+            raise SchemaError("services", f"unknown services {unknown}; the "
+                              f"set has {[s.service_name for s in self.services]}")
         return SchemaSet(tuple(self.service(n) for n in names))
 
 

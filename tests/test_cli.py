@@ -289,6 +289,32 @@ class TestBackendConfig:
         assert payload["error"] == "ConfigError"
         assert not out.exists()
 
+    def test_backend_option_goes_through_the_loader(self, runner, tmp_path):
+        """``--backend http`` with no endpoint fails as a bad config does,
+        naming the first backend, before any stage."""
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run-all", "--count", "3", "--backend",
+                                      "http", "--out", str(out)])
+        assert result.exit_code == 1
+        assert json.loads(result.output.strip().splitlines()[-1]) == {
+            "stage": "run-all", "error": "ConfigError",
+            "message": "user_backend: http backend requires an endpoint"}
+        assert not out.exists()
+
+    def test_backend_override_merges_into_the_yaml_mapping(self, tmp_path):
+        path = tmp_path / "backend.yaml"
+        path.write_text("user_backend: {kind: mock, endpoint: "
+                        "'https://api.example.com/v1', timeout: 5}\n")
+        cfg = load_config(path, user_backend={"kind": "http"})
+        assert (cfg.user_backend.kind, cfg.user_backend.endpoint,
+                cfg.user_backend.timeout) == (
+                    "http", "https://api.example.com/v1", 5)
+        assert cfg.system_backend.kind == "mock"
+        path.write_text("user_backend: 3\n")
+        with pytest.raises(ConfigError,
+                           match="^user_backend: expected mapping, got 3$"):
+            load_config(path, user_backend={"kind": "mock"})
+
     def test_cli_seed_and_spelled_out_backends_agree(self, runner, tmp_path):
         """The mocks answer under the pipeline seed, whether the backends are
         defaults or spelled-out mappings."""
@@ -526,6 +552,49 @@ class TestOptions:
         payload = json.loads(result.output.strip().splitlines()[-1])
         assert payload["error"] == "ConfigError"
         assert not (workdir / "out").exists()
+
+    def test_unknown_service_fails_before_any_stage(self, runner, workdir):
+        out = workdir / "out"
+        result = runner.invoke(main, ["run-all", "--out", str(out), "--count",
+                                      "3", "--services", "alarms,banking,nosuch"])
+        assert result.exit_code == 1
+        payload = json.loads(result.output.strip())
+        assert payload["error"] == "SchemaError"
+        assert payload["message"].startswith("services: unknown services "
+                                             "['nosuch']")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: s.update(slots=5),
+         "slots: expected list of mappings, got 5"),
+        (lambda s: s.update(slots=["a"]),
+         "slots: expected list of mappings, got ['a']"),
+        (lambda s: s.update(intent_operations={"name": "x"}),
+         "intent_operations: expected list of mappings, got {'name': 'x'}"),
+        (lambda s: s["intent_operations"][0].update(description=[1]),
+         "intent_operations[0].description: expected string, got [1]"),
+        (lambda s: s["slots"][0].update(description=5),
+         "slots[0].description: expected string, got 5"),
+    ])
+    def test_bad_schema_fails_before_any_stage(self, runner, tmp_path, edit,
+                                               message):
+        """Inputs that crashed a later stage or passed unseen exit 1 with
+        one JSON line naming the schema file and the dotted path."""
+        schemas = Path(load_config().schema_manifest_path).parent
+        schema = json.loads((schemas / "alarms.json").read_text())
+        edit(schema)
+        (tmp_path / "alarms.json").write_text(json.dumps(schema))
+        (tmp_path / "manifest.txt").write_text("alarms.json\n")
+        config = tmp_path / "c.yaml"
+        config.write_text(f"schema_manifest: {tmp_path / 'manifest.txt'}\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run-all", "--config", str(config),
+                                      "--out", str(out), "--count", "3"])
+        assert result.exit_code == 1
+        assert json.loads(result.output) == {
+            "stage": "run-all", "error": "SchemaError",
+            "message": f"{tmp_path / 'alarms.json'}: {message}"}
+        assert not out.exists()
 
     def test_content_retries_below_one_fails_before_any_stage(self, runner,
                                                              workdir):

@@ -3,6 +3,7 @@ expressions, database queries, and default styles."""
 
 import datetime as dt
 import itertools
+import json
 
 import pytest
 
@@ -531,6 +532,22 @@ class TestQueryDatabase:
                            backend, CFG)
         assert backend.calls == CFG.content_retries
 
+    def test_record_not_echoing_an_input_is_asked_again(self):
+        backend = StrayRecord(bad=1)
+        intent = SCHEMAS.service("movie").intent("get_movie_time")
+        records = query_database("movie", intent, {"movie_name": "Joker"},
+                                 backend, CFG)
+        assert all(r["movie_name"] == "Joker" for r in records)
+        assert backend.calls == 2
+
+    def test_records_not_echoing_an_input_exhaust_as_plot_error(self):
+        backend = StrayRecord(bad=CFG.content_retries)
+        intent = SCHEMAS.service("movie").intent("get_movie_time")
+        with pytest.raises(PlotError, match="does not echo every input value"):
+            query_database("movie", intent, {"movie_name": "Joker"},
+                           backend, CFG)
+        assert backend.calls == CFG.content_retries
+
 
 class NonObjectRecords(MockBackend):
     """Answers an array of five numbers for the first ``bad`` requests."""
@@ -542,9 +559,22 @@ class NonObjectRecords(MockBackend):
 
     def _complete(self, req):
         self.calls += 1
-        if self.calls <= self.bad:
-            return "[1, 2, 3, 4, 5]"
-        return super()._complete(req)
+        answer = super()._complete(req)
+        return self.spoil(answer) if self.calls <= self.bad else answer
+
+    def spoil(self, answer: str) -> str:
+        return "[1, 2, 3, 4, 5]"
+
+
+class StrayRecord(NonObjectRecords):
+    """Answers the mock's five records with the third naming another movie,
+    so it does not echo the input ``movie_name``, for the first ``bad``
+    requests."""
+
+    def spoil(self, answer: str) -> str:
+        records = json.loads(answer)
+        records[2]["movie_name"] = "Up"
+        return json.dumps(records)
 
 
 class TestInjectPhenomena:

@@ -1,12 +1,18 @@
 """Schema loading and validation tests."""
 
+import dataclasses
 import json
+import shutil
+import typing
 from pathlib import Path
 
 import pytest
 
 from todgen.schema import (
+    IntentSpec,
     SchemaError,
+    ServiceSchema,
+    SlotSpec,
     load_schema,
     load_schema_set,
     validate_schema_set,
@@ -56,7 +62,8 @@ def test_dangling_slot_reference(calendar_json):
 
 def test_unknown_field_rejected(calendar_json):
     calendar_json["intent_operations"][0]["require_confrmation"] = True
-    with pytest.raises(SchemaError, match="unknown field"):
+    with pytest.raises(SchemaError, match=r"^<document>: intent_operations\[0\]: "
+                       r"unknown keys \['require_confrmation'\]$"):
         load_schema(json.dumps(calendar_json))
 
 
@@ -116,7 +123,7 @@ def test_single_service_alias_cycle_rejected():
 @pytest.mark.parametrize(
     "flag", ["require_input_values", "check_on_input", "can_refer_to_input_slot"])
 def test_removed_meta_indicator_is_unknown_field(flag):
-    with pytest.raises(SchemaError, match=f"{flag}: unknown field"):
+    with pytest.raises(SchemaError, match=rf"unknown keys \['{flag}'\]"):
         load_schema(json.dumps({
             "service_name": "t",
             "intent_operations": [{"name": "x", flag: True}],
@@ -174,3 +181,92 @@ def test_manifest_missing_file(tmp_path):
 def test_subset(schema_set):
     sub = schema_set.subset(["alarms", "movie"])
     assert [s.service_name for s in sub.services] == ["alarms", "movie"]
+
+
+# a value of the wrong type for each type a schema field has
+_WRONG = {str: 7, bool: 1, int: 2.7}
+
+
+def _wrong(tp):
+    if dataclasses.is_dataclass(tp):
+        return 3
+    if typing.get_origin(tp) is tuple:
+        return [_wrong(typing.get_args(tp)[0])]
+    return _WRONG[tp]
+
+
+def _wrong_typed_fields():
+    """``(dotted path, schema)`` with one field of a service, of its intent
+    or of its slot wrong-typed, for every field in turn."""
+    for cls, at in ((ServiceSchema, ()), (IntentSpec, ("intent_operations", 0)),
+                    (SlotSpec, ("slots", 0))):
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            doc = {"service_name": "t", "intent_operations": [{"name": "x"}],
+                   "slots": [{"name": "a"}]}
+            (doc[at[0]][at[1]] if at else doc)[f.name] = _wrong(hints[f.name])
+            path = f"{at[0]}[{at[1]}].{f.name}" if at else f.name
+            yield pytest.param(path, doc, id=path)
+
+
+@pytest.mark.parametrize("path, doc", _wrong_typed_fields())
+def test_wrong_typed_field_named_by_path(path, doc):
+    with pytest.raises(SchemaError) as e:
+        load_schema(json.dumps(doc))
+    assert str(e.value).startswith(f"<document>: {path}: expected ")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda s: s.update(slots=5),
+     "slots: expected list of mappings, got 5"),
+    (lambda s: s.update(slots=["a"]),
+     "slots: expected list of mappings, got ['a']"),
+    (lambda s: s.update(intent_operations={"name": "x"}),
+     "intent_operations: expected list of mappings, got {'name': 'x'}"),
+    (lambda s: s["intent_operations"][0].update(description=[1]),
+     "intent_operations[0].description: expected string, got [1]"),
+    (lambda s: s["slots"][0].update(description=5),
+     "slots[0].description: expected string, got 5"),
+    (lambda s: s.pop("service_name"),
+     "service_name: missing required key"),
+    (lambda s: s["slots"][1].pop("name"),
+     "slots[1].name: missing required key"),
+    (lambda s: s["slots"][1].update(name=""),
+     "slots[1].name: must be a nonempty string"),
+    (lambda s: s["slots"].append(s["slots"][0]),
+     "slots[6].name: duplicate name 'date'"),
+    (lambda s: s["intent_operations"][1].update(minimum_input_slot_number=-1),
+     "intent_operations[1].minimum_input_slot_number: expected a count >= 0, "
+     "got -1"),
+])
+def test_ill_typed_schema_named_by_file_and_path(tmp_path, calendar_json,
+                                                  edit, message):
+    """Inputs an earlier loader crashed on, accepted or mis-reported, each
+    named by its file and dotted path."""
+    edit(calendar_json)
+    path = tmp_path / "calendar_events.json"
+    path.write_text(json.dumps(calendar_json))
+    with pytest.raises(SchemaError) as e:
+        load_schema(path)
+    assert str(e.value) == f"{path}: {message}"
+    with pytest.raises(SchemaError) as e:
+        load_schema(json.dumps(calendar_json))
+    assert str(e.value) == f"<document>: {message}"
+
+
+def test_schema_set_error_names_the_file(tmp_path):
+    for p in SCHEMA_DIR.iterdir():
+        shutil.copy(p, tmp_path)
+    bad = tmp_path / "alarms.json"
+    doc = json.loads(bad.read_text())
+    doc["intent_operations"][0]["require_confrmation"] = True
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as e:
+        load_schema_set(tmp_path / "manifest.txt")
+    assert str(e.value) == (f"{bad}: intent_operations[0]: "
+                            "unknown keys ['require_confrmation']")
+
+
+def test_subset_names_every_unknown_service(schema_set):
+    with pytest.raises(SchemaError, match=r"unknown services \['nosuch', 'gone'\]"):
+        schema_set.subset(["alarms", "nosuch", "gone"])
