@@ -24,7 +24,7 @@ import csv
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 import click
@@ -126,8 +126,8 @@ def main() -> None:
 
 def stage_personas(cfg: PipelineConfig) -> list:
     out = _outdir(cfg)
-    llm = make_backend(cfg.user_backend, cfg.seed)
-    pool = generate_pool(cfg, llm)
+    with closing(make_backend(cfg.user_backend, cfg.seed)) as llm:
+        pool = generate_pool(cfg, llm)
     with _checkpoint(out / "personas.jsonl") as tmp:
         write_jsonl(tmp, (p.to_dict() for p in pool))
     return pool
@@ -143,7 +143,6 @@ def stage_contexts(cfg: PipelineConfig) -> list:
     out = _outdir(cfg)
     pool = _personas(out)
     schemas = _schemas(cfg)
-    llm = make_backend(cfg.user_backend, cfg.seed)
 
     def context_row(i: int) -> dict:
         assign_rng = derive_rng(cfg.seed, "assign", i)
@@ -160,7 +159,9 @@ def stage_contexts(cfg: PipelineConfig) -> list:
             "contexts": [c.to_dict() for c in contexts.values()],
         }
 
-    rows = run_dialogs(context_row, range(cfg.dialog_count), cfg.max_concurrency)
+    with closing(make_backend(cfg.user_backend, cfg.seed)) as llm:
+        rows = run_dialogs(context_row, range(cfg.dialog_count),
+                           cfg.max_concurrency)
     with _checkpoint(out / "contexts.jsonl") as tmp:
         write_jsonl(tmp, rows)
     return rows
@@ -182,7 +183,6 @@ def stage_plots(cfg: PipelineConfig) -> list:
     ctx_rows = read_jsonl(
         _require(out / "contexts.jsonl", "contexts"), _context_row, "row")
     schemas = _schemas(cfg)
-    llm = make_backend(cfg.user_backend, cfg.seed)
 
     def plot_row(i: int) -> dict:
         dialog_id, persona_id, contexts = ctx_rows[i]
@@ -198,7 +198,8 @@ def stage_plots(cfg: PipelineConfig) -> list:
             "plot": plot.to_dict(),
         }
 
-    rows = run_dialogs(plot_row, range(len(ctx_rows)), cfg.max_concurrency)
+    with closing(make_backend(cfg.user_backend, cfg.seed)) as llm:
+        rows = run_dialogs(plot_row, range(len(ctx_rows)), cfg.max_concurrency)
     with _checkpoint(out / "plots.jsonl") as tmp:
         write_jsonl(tmp, rows)
     return rows
@@ -212,8 +213,6 @@ def stage_realize(cfg: PipelineConfig) -> list:
             _require(out / "contexts.jsonl", "contexts"), _context_row, "row")
     }
     plot_rows = read_jsonl(_require(out / "plots.jsonl", "plots"), _plot_row, "row")
-    user_llm = make_backend(cfg.user_backend, cfg.seed)
-    system_llm = make_backend(cfg.system_backend, cfg.seed)
 
     def datapoint(row: tuple) -> Datapoint:
         dialog_id, persona_id, plot = row
@@ -230,7 +229,9 @@ def stage_realize(cfg: PipelineConfig) -> list:
             contexts=contexts,
         )
 
-    dps = run_dialogs(datapoint, plot_rows, cfg.max_concurrency)
+    with closing(make_backend(cfg.user_backend, cfg.seed)) as user_llm, \
+            closing(make_backend(cfg.system_backend, cfg.seed)) as system_llm:
+        dps = run_dialogs(datapoint, plot_rows, cfg.max_concurrency)
     with _checkpoint(out / "dialogs.jsonl") as tmp:
         write_dataset(dps, tmp)
     return dps
@@ -240,8 +241,8 @@ def stage_qc(cfg: PipelineConfig) -> list:
     out = _outdir(cfg)
     dialogs = _require(out / "dialogs.jsonl", "realize")
     dps = read_dataset(dialogs)
-    llm = make_backend(cfg.evaluator_backend, cfg.seed)
-    reports = qc_mod.run_qc(dps, llm, cfg)
+    with closing(make_backend(cfg.evaluator_backend, cfg.seed)) as llm:
+        reports = qc_mod.run_qc(dps, llm, cfg)
     with _checkpoint(out / "qc_report.jsonl") as tmp:
         write_jsonl(tmp, (r.to_dict() for r in reports))
     dropped = {r.datapoint_id for r in reports if r.disposition == "drop"}

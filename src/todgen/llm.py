@@ -17,10 +17,13 @@ import json
 import os
 import random
 import re
+import select
+import socket
 import ssl
 import time
 import urllib.parse
 import urllib.request
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional, TypeVar
@@ -122,6 +125,10 @@ class Backend:
     def _complete(self, req: CompletionRequest) -> str:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what the backend keeps open between completions; nothing
+        unless a subclass keeps something."""
+
 
 def _is_loopback(host: str) -> bool:
     """Whether ``host`` names the local machine: ``localhost`` or a
@@ -142,13 +149,41 @@ class HttpBackend(Backend):
     """Chat-completions HTTP client with bounded retry on transient failures
     (connection errors, timeouts, 429 and 5xx).
 
-    The transport is ``http.client`` with one connection per request. The
-    route is worked out once, when the backend is built: proxies come from
+    The transport is ``http.client`` over a pool of idle keep-alive
+    connections. A request takes the most recently used idle connection or
+    opens a new one, so the backend never holds more connections than it has
+    had requests in flight at once (at most ``max_concurrency`` in a stage).
+    A connection goes back to the pool only after its whole answer was read
+    and the server did not ask to close it (``Connection: close``, or an
+    HTTP/1.0 answer without keep-alive). One whose attempt raised, timed out
+    or broke is closed, so a late answer is never read as the next request's.
+    An idle connection whose socket is readable, which means the server
+    closed it or sent bytes nobody asked for, is closed before a send, and
+    the request goes out on another connection; that costs no attempt. A
+    request that fails on a reused connection after it was sent is one
+    failed attempt of the :class:`RetryPolicy`, like a failure on a new
+    connection, so every resend is counted. :meth:`close` closes the idle
+    connections.
+
+    ``http.client`` sets ``TCP_NODELAY`` on each new connection. After each
+    request is sent, ``TCP_QUICKACK`` is set where the platform has it (the
+    option does not stay on): a server that writes its headers and its body
+    in two sends without ``TCP_NODELAY`` holds the body until the client
+    acknowledges the headers, which a delayed ACK would put off by some
+    40 ms on a reused connection.
+
+    The route is worked out once, when the backend is built: proxies come from
     the environment (``http_proxy``, ``https_proxy``, ``no_proxy``) as
     ``urllib.request`` reads them, and an https endpoint behind a proxy is
     reached through a ``CONNECT`` tunnel. HTTPS verifies against the system
     CA store. Redirects are refused: a 301, 302, 303, 307 or 308 answer
     raises :class:`BackendError` naming its ``Location`` and is not retried.
+
+    Backoff ``k`` of a retry waits ``backoff * k`` seconds times a factor
+    drawn uniformly between 0.5 and 1.5, so retries of dialogs that failed
+    together spread out while the mean wait stays the same; a ``Retry-After``
+    in seconds is waited exactly. The factor comes from the backend's own
+    ``random.Random``, never from the pipeline's RNG.
 
     The request is built and sent with the dialog's turn held (see
     :mod:`todgen.runner`), so it is on the wire before another dialog runs.
@@ -156,17 +191,19 @@ class HttpBackend(Backend):
     included, for a connect unless every peer is a loopback address, and
     during a retry backoff. A loopback connect takes less time than the
     other dialog's work that would run before the send if the turn were
-    given up.
+    given up. A request on a reused connection makes no connect.
     """
 
     def __init__(self, config: BackendConfig):
         self.config = config
+        # idle connections, most recently used last; a deque's append and pop
+        # are atomic, so threads outside run_dialogs may share the backend
+        self._idle: deque[http.client.HTTPConnection] = deque()
+        self._jitter = random.Random()
         url = urllib.parse.urlsplit(config.endpoint)
         https = url.scheme == "https"
-        # one request per connection, so a keep-alive server closes it after
-        # the answer
         self._headers = {"Content-Type": "application/json",
-                         "User-Agent": USER_AGENT, "Connection": "close"}
+                         "User-Agent": USER_AGENT}
         self._tunnel: Optional[dict] = None  # set_tunnel's arguments
         self._target = urllib.parse.urlunsplit(
             ("", "", url.path or "/", url.query, ""))
@@ -217,7 +254,7 @@ class HttpBackend(Backend):
         policy = self.config.retry
         last_error: Optional[Exception] = None
         for attempt in range(1, policy.max_attempts + 1):
-            delay = policy.backoff * attempt
+            retry_after = None  # the Retry-After header of a 429
             try:
                 status, answer_headers, body = self._send(data, headers)
             except BackendError as e:
@@ -227,7 +264,7 @@ class HttpBackend(Backend):
                     raise AuthError(f"authentication failed ({status})")
                 if status == 429:
                     last_error = BackendError("rate limited (429)")
-                    delay = _retry_after(answer_headers.get("Retry-After"), delay)
+                    retry_after = answer_headers.get("Retry-After")
                 elif status >= 500:
                     last_error = BackendError(f"server error {status}")
                 elif status in _REDIRECTS:
@@ -248,34 +285,81 @@ class HttpBackend(Backend):
                             f"{type(content).__name__}, not a string")
                     return content
             if attempt < policy.max_attempts:
+                delay = _retry_after(retry_after, policy.backoff * attempt
+                                     * self._jitter.uniform(0.5, 1.5))
                 with waiting():
                     time.sleep(delay)
         raise RetryExhaustedError(str(last_error), policy.max_attempts)
 
+    def close(self) -> None:
+        """Close the idle connections, with no request in flight. The backend
+        stays usable: a later request opens a new connection."""
+        while self._idle:
+            self._idle.pop().close()
+
+    def _idle_connection(self) -> Optional[http.client.HTTPConnection]:
+        """The most recently used idle connection the server has not closed,
+        or None. Idle connections found readable are closed on the way."""
+        while True:
+            try:
+                conn = self._idle.pop()
+            except IndexError:
+                return None
+            if not _readable(conn.sock):
+                return conn
+            conn.close()
+
     def _send(self, data: bytes, headers: dict
               ) -> tuple[int, http.client.HTTPMessage, bytes]:
-        """One attempt on a new connection: the status, the headers and the
-        whole body. A transport failure raises :class:`BackendTimeout` or
-        :class:`BackendError`, both retried."""
-        conn = self._connection(timeout=self.config.timeout)
-        try:
+        """One attempt, on an idle connection or a new one: the status, the
+        headers and the whole body. A transport failure raises
+        :class:`BackendTimeout` or :class:`BackendError`, both retried."""
+        conn = self._idle_connection()
+        if conn is None:
+            conn = self._connection(timeout=self.config.timeout)
             if self._tunnel:
                 conn.set_tunnel(**self._tunnel)
-            if self._loopback:
-                conn.connect()
-            else:
-                with waiting():
+        reusable = False
+        try:
+            if conn.sock is None:  # a new connection
+                if self._loopback:
                     conn.connect()
+                else:
+                    with waiting():
+                        conn.connect()
             conn.request("POST", self._target, data, headers)
+            if _QUICKACK is not None:
+                conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
             with waiting(), conn.getresponse() as response:
-                return response.status, response.headers, response.read()
+                answer = response.status, response.headers, response.read()
+            reusable = not response.will_close
+            return answer
         except (OSError, http.client.HTTPException) as e:
             if isinstance(e, TimeoutError):
                 raise BackendTimeout(
                     f"timed out after {self.config.timeout:g} s") from e
             raise BackendError(f"{type(e).__name__}: {e}") from e
         finally:
-            conn.close()
+            if reusable:
+                self._idle.append(conn)
+            else:
+                conn.close()
+
+
+# Linux only; set after each send, since the kernel clears it again
+_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
+
+
+def _readable(sock: socket.socket) -> bool:
+    """Whether ``sock`` has bytes or an end of file waiting, checked without
+    reading or blocking, as urllib3 checks a pooled connection. ``poll``
+    where there is one, since ``select`` fails on descriptors past
+    ``FD_SETSIZE``."""
+    if not hasattr(select, "poll"):
+        return bool(select.select([sock], [], [], 0)[0])
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
 
 
 def _retry_after(header: Optional[str], default: float) -> float:

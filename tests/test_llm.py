@@ -5,13 +5,16 @@ import datetime
 import http.client
 import json
 import os
+import random
 import socket
+import statistics
+import struct
 import subprocess
 import sys
 import threading
 import time
-from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from contextlib import closing, contextmanager
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -207,6 +210,8 @@ class TestHttpBackend:
         ("\xb2", 0.25),  # latin-1 superscript two: a digit, not ASCII
     ])
     def test_rate_limit_is_retried(self, stub_server, monkeypatch, header, wait):
+        """``Retry-After`` is waited exactly; the policy backoff is jittered
+        by a factor between 0.5 and 1.5."""
         _StubHandler.script = [429, 200]
         _StubHandler.retry_after = header
         sleeps = []  # (seconds, whether the dialog still held its turn)
@@ -218,7 +223,12 @@ class TestHttpBackend:
         out = runner.run_dialogs(lambda _: backend.complete(req()), [0], 1)
         assert out == ["stub reply"]
         assert len(_StubHandler.requests_seen) == 2
-        assert sleeps == [(wait, False)]
+        [(slept, held)] = sleeps
+        assert not held
+        if header == "2":
+            assert slept == wait
+        else:
+            assert 0.5 * wait <= slept <= 1.5 * wait
 
     def test_rate_limit_exhaustion_raises(self, stub_server):
         _StubHandler.script = [429, 429]
@@ -388,12 +398,6 @@ class TestHttpTransport:
             http_backend(f"{scheme}://todgen.invalid/v1/chat/completions")
         assert "secret" not in str(e.value)
 
-    def test_connection_close_sent(self, stub_server):
-        """The server may close the connection after its answer; the
-        backend opens a new one per request."""
-        http_backend(stub_server).complete(req())
-        assert _StubHandler.requests_seen[0]["headers"]["Connection"] == "close"
-
     def test_user_agent_sent(self, stub_server):
         http_backend(stub_server).complete(req())
         assert _StubHandler.requests_seen[0]["user_agent"] == USER_AGENT
@@ -453,6 +457,220 @@ def _proxy_env(monkeypatch, **values):
         monkeypatch.setenv(name, value)
 
 
+class _KeepAliveServer(ThreadingHTTPServer):
+    """An HTTP/1.1 server that numbers the connections it accepts, counts
+    those it has closed, keeps every request as (connection number, prompt)
+    and lets ``answer(handler, n, prompt)`` answer the ``n``-th request."""
+
+    daemon_threads = True
+
+    def __init__(self, answer):
+        super().__init__(("127.0.0.1", 0), _KeepAliveHandler)
+        self.answer = answer
+        self.lock = threading.Lock()
+        self.accepted = 0
+        self.closed = 0
+        self.requests: list = []
+        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1/chat"
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self.lock:
+            self.closed += 1
+
+    def handle_error(self, request, client_address):
+        pass  # a client that timed out has hung up on its answer
+
+    def wait_closed(self, count, timeout=5.0):
+        """Waits until ``count`` connections are closed; the number closed."""
+        deadline = time.monotonic() + timeout
+        while self.closed < count and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return self.closed
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.accepted += 1
+            self.number = self.server.accepted
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        prompt = body["messages"][0]["content"]
+        with self.server.lock:
+            self.server.requests.append((self.number, prompt))
+            n = len(self.server.requests)
+        self.server.answer(self, n, prompt)
+
+    def log_message(self, *args):
+        pass
+
+
+def _reply(handler, content, headers=()):
+    """A 200 chat-completions answer with ``content``; the handler writes
+    the headers and the body in two sends."""
+    data = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+    handler.send_response(200)
+    handler.send_header("Content-Type", "application/json")
+    handler.send_header("Content-Length", str(len(data)))
+    for name, value in headers:
+        handler.send_header(name, value)
+    handler.end_headers()
+    handler.wfile.write(data)
+
+
+def _echo(handler, n, prompt):
+    _reply(handler, prompt)
+
+
+@contextmanager
+def keep_alive_server(answer=_echo):
+    server = _KeepAliveServer(answer)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,),
+                              daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+class TestKeepAlive:
+    """Completions reuse idle connections; a connection the server closed,
+    or whose attempt failed, is never sent on again."""
+
+    def test_completions_share_one_connection(self):
+        with keep_alive_server() as server:
+            with closing(http_backend(server.url)) as backend:
+                answers = [backend.complete(req(content=f"c{i}"))
+                           for i in range(3)]
+            assert server.wait_closed(1) == 1
+        assert answers == ["c0", "c1", "c2"]
+        assert server.requests == [(1, "c0"), (1, "c1"), (1, "c2")]
+
+    @pytest.mark.parametrize("closing_answer", ["connection-close", "http-1.0"])
+    def test_server_asking_to_close_gets_a_new_connection(self,
+                                                          closing_answer):
+        def answer(handler, n, prompt):
+            if closing_answer == "http-1.0":
+                handler.protocol_version = "HTTP/1.0"
+                handler.close_connection = True
+                _reply(handler, prompt)
+            else:
+                _reply(handler, prompt, [("Connection", "close")])
+
+        with keep_alive_server(answer) as server:
+            with closing(http_backend(server.url)) as backend:
+                assert backend.complete(req(content="a")) == "a"
+                assert backend.complete(req(content="b")) == "b"
+        assert server.requests == [(1, "a"), (2, "b")]
+
+    def test_idle_connection_closed_by_the_server_is_replaced(self):
+        """The server drops the connection after its first answer without
+        saying so; the next request goes out once, on a new connection, and
+        costs no attempt."""
+        def answer(handler, n, prompt):
+            _reply(handler, prompt)
+            handler.close_connection = n == 1
+
+        with keep_alive_server(answer) as server:
+            with closing(http_backend(server.url, attempts=1)) as backend:
+                assert backend.complete(req(content="a")) == "a"
+                assert server.wait_closed(1) == 1
+                assert backend.complete(req(content="b")) == "b"
+        assert server.requests == [(1, "a"), (2, "b")]
+
+    def test_reset_after_the_send_costs_an_attempt(self):
+        """Every request after the first is read and answered with a reset;
+        each one is an attempt, so the server sees no more of them than the
+        policy allows."""
+        def answer(handler, n, prompt):
+            if n == 1:
+                _reply(handler, prompt)
+                return
+            handler.connection.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            handler.close_connection = True
+
+        with keep_alive_server(answer) as server:
+            with closing(http_backend(server.url, attempts=3)) as backend:
+                assert backend.complete(req(content="a")) == "a"
+                with pytest.raises(RetryExhaustedError) as e:
+                    backend.complete(req(content="b"))
+        assert e.value.attempts == 3
+        assert server.requests == [(1, "a"), (1, "b"), (2, "b"), (3, "b")]
+
+    def test_timed_out_attempt_is_not_answered_by_its_late_reply(self):
+        """The first attempt's answer comes after the timeout; the second
+        attempt reads its own answer, not the late one."""
+        def answer(handler, n, prompt):
+            if n == 2:
+                time.sleep(0.5)
+                _reply(handler, "late")
+            else:
+                _reply(handler, f"{prompt} #{n}")
+
+        with keep_alive_server(answer) as server:
+            with closing(http_backend(server.url, timeout=0.2)) as backend:
+                assert backend.complete(req(content="warm")) == "warm #1"
+                assert backend.complete(req(content="b")) == "b #3"
+        assert server.requests == [(1, "warm"), (1, "b"), (2, "b")]
+
+    @pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"),
+                        reason="the platform has no TCP_QUICKACK")
+    def test_split_answer_is_not_held_by_a_delayed_ack(self):
+        """The server leaves Nagle on and writes headers and body in two
+        sends, so a client that delays its ACK of the headers waits ~40 ms
+        for the body on a reused connection."""
+        times = []
+        with keep_alive_server() as server:
+            with closing(http_backend(server.url)) as backend:
+                for i in range(10):
+                    start = time.perf_counter()
+                    backend.complete(req(content=f"c{i}"))
+                    times.append(time.perf_counter() - start)
+                [conn] = backend._idle
+                assert conn.sock.getsockopt(socket.IPPROTO_TCP,
+                                            socket.TCP_NODELAY)
+        assert {number for number, _ in server.requests} == {1}
+        assert statistics.median(times) < 0.020, times
+
+
+def _record_turn(monkeypatch, connect):
+    """Patches ``http.client`` to make each connection with ``connect`` and
+    to record (step, whether the dialog held its turn) at each connect, send
+    and body read; the list of records."""
+    held = []
+    endheaders = http.client.HTTPConnection.endheaders
+    read = http.client.HTTPResponse.read
+
+    def recorded_connect(conn):
+        held.append(("connect", runner._local.turn.locked()))
+        connect(conn)
+
+    def recorded_endheaders(conn, *args, **kwargs):  # sends the request
+        endheaders(conn, *args, **kwargs)
+        held.append(("sent", runner._local.turn.locked()))
+
+    def recorded_read(response, *args):
+        held.append(("body", runner._local.turn.locked()))
+        return read(response, *args)
+
+    for cls in (http.client.HTTPConnection, http.client.HTTPSConnection):
+        monkeypatch.setattr(cls, "connect", recorded_connect)
+    monkeypatch.setattr(http.client.HTTPConnection, "endheaders",
+                        recorded_endheaders)
+    monkeypatch.setattr(http.client.HTTPResponse, "read", recorded_read)
+    return held
+
+
 class TestTurnHandOver:
     """A dialog builds and sends its request with its turn held and gives the
     turn up while the request awaits its answer, and for a connect to a peer
@@ -508,33 +726,57 @@ class TestTurnHandOver:
         if proxied:
             for name in ("http_proxy", "https_proxy"):
                 monkeypatch.setenv(name, f"http://127.0.0.1:{port}")
-        held = []  # (step, whether the dialog held its turn)
-        endheaders = http.client.HTTPConnection.endheaders
-        read = http.client.HTTPResponse.read
 
         def stub_connect(conn):  # a TCP connect to the stub, without TLS
-            held.append(("connect", runner._local.turn.locked()))
             conn.sock = socket.create_connection(("127.0.0.1", port))
 
-        def recorded_endheaders(conn, *args, **kwargs):  # sends the request
-            endheaders(conn, *args, **kwargs)
-            held.append(("sent", runner._local.turn.locked()))
-
-        def recorded_read(response, *args):
-            held.append(("body", runner._local.turn.locked()))
-            return read(response, *args)
-
-        monkeypatch.setattr(http.client.HTTPConnection, "connect", stub_connect)
-        monkeypatch.setattr(http.client.HTTPSConnection, "connect",
-                            stub_connect)
-        monkeypatch.setattr(http.client.HTTPConnection, "endheaders",
-                            recorded_endheaders)
-        monkeypatch.setattr(http.client.HTTPResponse, "read", recorded_read)
+        held = _record_turn(monkeypatch, stub_connect)
         backend = http_backend(f"{endpoint}:{port}/v1/chat/completions")
         out = runner.run_dialogs(lambda _: backend.complete(req()), [0], 1)
         assert out == ["stub reply"]
         assert held == [("connect", connect_held), ("sent", True),
                         ("body", False)]
+
+    def test_reused_connection_makes_no_connect(self, monkeypatch):
+        """The second request goes out on the first one's connection: no
+        connect, sent with the turn held, answer awaited without it."""
+        held = _record_turn(monkeypatch, http.client.HTTPConnection.connect)
+        with keep_alive_server() as server:
+            with closing(http_backend(server.url)) as backend:
+                out = runner.run_dialogs(
+                    lambda i: [backend.complete(req(content=f"{i}.{k}"))
+                               for k in range(2)], [0], 1)
+        assert out == [["0.0", "0.1"]]
+        assert server.requests == [(1, "0.0"), (1, "0.1")]
+        assert held == [("connect", True), ("sent", True), ("body", False),
+                        ("sent", True), ("body", False)]
+
+    def test_connections_never_outnumber_requests_in_flight(self):
+        """40 completions on 4 workers, with a tiny switch interval: the
+        server sees at most 4 connections, each answer is its own request's,
+        and close() closes every connection."""
+        def answer(handler, n, prompt):
+            time.sleep(0.002)
+            _reply(handler, prompt)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with keep_alive_server(answer) as server:
+                backend = http_backend(server.url)
+                out = runner.run_dialogs(
+                    lambda i: backend.complete(req(content=f"d{i}")),
+                    range(40), 4)
+                accepted = server.accepted
+                backend.close()
+                closed = server.wait_closed(accepted)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [f"d{i}" for i in range(40)]
+        assert len(server.requests) == 40
+        assert 2 <= accepted <= 4
+        assert closed == accepted
+        assert not backend._idle
 
 
 def test_cli_import_does_not_load_requests():
@@ -582,6 +824,32 @@ def validated(backend, parse, retries=3, **kwargs):
                             max_tokens=64)
     return complete_validated(backend, config, "slot_values", "pick a time",
                               METADATA, parse, **kwargs)
+
+
+class TestRetryBackoff:
+    def test_backoff_is_jittered_within_bounds_and_retry_after_is_exact(
+            self, stub_server, monkeypatch):
+        """Backoff k waits between 0.5 and 1.5 times ``backoff * k``, drawn
+        from the backend's own RNG; a Retry-After in seconds is waited
+        exactly."""
+        sleeps = []
+        monkeypatch.setattr("todgen.llm.time.sleep", sleeps.append)
+        _StubHandler.retry_after = "1"
+        random.seed(3)
+        state = random.getstate()
+        backend = http_backend(stub_server, attempts=4, backoff=0.1)
+        waits = []
+        for _ in range(20):
+            _StubHandler.script = [500, 429, 503, 200]
+            sleeps.clear()
+            assert backend.complete(req()) == "stub reply"
+            first, retry_after, third = sleeps
+            assert 0.05 <= first <= 0.15
+            assert retry_after == 1.0
+            assert 0.15 <= third <= 0.45
+            waits += [first, third]
+        assert random.getstate() == state
+        assert len(set(waits)) == len(waits)
 
 
 class TestCompleteValidated:

@@ -131,8 +131,10 @@ def _files(out) -> dict:
 
 class _ReplayHandler(BaseHTTPRequestHandler):
     """Answers each prompt with its recorded completion after a fixed
-    latency, and tracks the most requests in flight at once."""
+    latency, over keep-alive connections, and tracks the most requests in
+    flight at once."""
 
+    protocol_version = "HTTP/1.1"
     answers: dict = {}
     latency = 0.01
     lock = threading.Lock()
@@ -216,6 +218,40 @@ def test_http_stages_overlap_and_match_serial_run(tmp_path, mock_reference):
         server.server_close()
     assert not thread.is_alive()
     assert peaks == {1: 1, 2: 2}
+
+
+def test_stages_close_every_backend_they_build(tmp_path, monkeypatch):
+    """Each backend stage closes the backends it built, also when one of its
+    dialogs fails."""
+    built, closed = [], []
+    make = cli.make_backend
+
+    def tracked(config, seed):
+        backend = make(config, seed)
+        backend.close = lambda: closed.append(backend)
+        built.append(backend)
+        return backend
+
+    def ids(backends):
+        return sorted(map(id, backends))
+
+    monkeypatch.setattr(cli, "make_backend", tracked)
+    cfg = _config(tmp_path / "out", max_concurrency=2)
+    _run(cfg, ("personas",) + STAGES)
+    assert len(built) == 6  # realize builds a user and a system backend
+    assert ids(closed) == ids(built)
+
+    built.clear()
+    closed.clear()
+
+    def fail(*args, **kwargs):
+        raise PlotError("dialog failed")
+
+    monkeypatch.setattr(cli, "realize_dialog", fail)
+    with pytest.raises(PlotError):
+        cli.stage_realize(cfg)
+    assert len(built) == 2
+    assert ids(closed) == ids(built)
 
 
 def test_one_failing_dialog_fails_the_stage(tmp_path, monkeypatch):
