@@ -35,7 +35,7 @@ from .config import ConfigError, PipelineConfig, load_config
 from .context import generate_contexts, sample_current_time, AppContext
 from .dataset import Datapoint, compute_stats, read_dataset, read_jsonl, \
     split as split_corpus, stats_to_text, write_dataset, write_jsonl
-from .llm import make_backend
+from .llm import make_backend, missing_key
 from .persona import Persona, generate_pool
 from .plot import Plot, build_plot
 from .realizer import realize_dialog
@@ -64,6 +64,22 @@ def _build_config(config, seed, count, services, backend, out) -> PipelineConfig
     cfg = load_config(config, **overrides)
     _schemas(cfg)  # a bad schema set or services subset fails before any stage
     return cfg
+
+
+# the backend roles each stage builds
+_ROLES = {"personas": ("user",), "contexts": ("user",), "plots": ("user",),
+          "realize": ("user", "system"), "qc": ("evaluator",)}
+
+
+def _warn_missing_keys(cfg: PipelineConfig, stages) -> None:
+    """Warn once per backend role of ``stages`` that would send a server
+    other than this machine no API key; local servers often need none."""
+    roles = (role for stage in stages for role in _ROLES.get(stage, ()))
+    for role in dict.fromkeys(roles):
+        backend = getattr(cfg, f"{role}_backend")
+        if missing_key(backend):
+            click.echo(f"warning: {role}_backend sends no API key, as "
+                       f"${backend.auth_env} is unset or empty", err=True)
 
 
 def _schemas(cfg: PipelineConfig) -> SchemaSet:
@@ -317,6 +333,7 @@ def _make_command(stage_name: str, help_text: str):
     def command(config, seed, count, services, backend, out):
         try:
             cfg = _build_config(config, seed, count, services, backend, out)
+            _warn_missing_keys(cfg, [stage_name])
         except _STAGE_ERRORS as e:
             _fail(stage_name, e)
         _run_stage(stage_name, cfg)
@@ -339,6 +356,7 @@ _make_command("split", "Produce the train/test/zero-shot split manifest.")
 def run_all(config, seed, count, services, backend, out):
     try:
         cfg = _build_config(config, seed, count, services, backend, out)
+        _warn_missing_keys(cfg, _STAGES)
     except _STAGE_ERRORS as e:
         _fail("run-all", e)
     for stage_name in _STAGES:

@@ -61,6 +61,7 @@ __all__ = [
     "parse_json_object",
     "complete_validated",
     "make_backend",
+    "missing_key",
 ]
 
 
@@ -114,6 +115,9 @@ class BackendConfig:
     def __post_init__(self):
         if self.kind == "http" and not self.endpoint:
             raise ValueError("http backend requires an endpoint")
+        # what http.client refuses in a request target or a Host
+        if re.search(r"[\x00-\x20\x7f]", self.endpoint):
+            raise ValueError("endpoint holds a space or a control character")
 
 
 class Backend:
@@ -141,7 +145,7 @@ def _is_loopback(host: str) -> bool:
         return False
 
 
-# redirect statuses; http.client returns them as they are and follows none
+# redirect statuses; _read_answer returns them as they are and follows none
 _REDIRECTS = (301, 302, 303, 307, 308)
 
 
@@ -149,14 +153,18 @@ class HttpBackend(Backend):
     """Chat-completions HTTP client with bounded retry on transient failures
     (connection errors, timeouts, 429 and 5xx).
 
-    The transport is ``http.client`` over a pool of idle keep-alive
-    connections. A request takes the most recently used idle connection or
-    opens a new one, so the backend never holds more connections than it has
-    had requests in flight at once (at most ``max_concurrency`` in a stage).
-    A connection goes back to the pool only after its whole answer was read
-    and the server did not ask to close it (``Connection: close``, or an
-    HTTP/1.0 answer without keep-alive). One whose attempt raised, timed out
-    or broke is closed, so a late answer is never read as the next request's.
+    ``http.client`` only opens connections (TCP, TLS, the ``CONNECT``
+    tunnel). A request goes out in one ``sendall`` of the bytes
+    ``http.client`` would send, and :func:`_read_answer` reads its answer
+    under ``http.client``'s bounds, framings and keep-alive rule.
+
+    Idle keep-alive connections are pooled. A request takes the most
+    recently used idle connection or opens a new one, so the backend never
+    holds more connections than it has had requests in flight at once (at
+    most ``max_concurrency`` in a stage). A connection goes back to the pool
+    only after its whole answer was read and the server did not ask to close
+    it. One whose attempt raised, timed out, broke or got a malformed answer
+    is closed, so a late answer is never read as the next request's.
     An idle connection whose socket is readable, which means the server
     closed it or sent bytes nobody asked for, is closed before a send, and
     the request goes out on another connection; that costs no attempt. A
@@ -202,21 +210,14 @@ class HttpBackend(Backend):
         self._jitter = random.Random()
         url = urllib.parse.urlsplit(config.endpoint)
         https = url.scheme == "https"
-        self._headers = {"Content-Type": "application/json",
-                         "User-Agent": USER_AGENT}
+        target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+        host = _host(url.netloc, 443 if https else 80)
+        fields = f"Content-Type: application/json\r\nUser-Agent: {USER_AGENT}\r\n"
         self._tunnel: Optional[dict] = None  # set_tunnel's arguments
-        self._target = urllib.parse.urlunsplit(
-            ("", "", url.path or "/", url.query, ""))
-        proxy = urllib.request.getproxies().get(url.scheme)
-        if not proxy or urllib.request.proxy_bypass(url.netloc):
+        via = _proxy(url)
+        if via is None:
             peer, tls, hosts = url.netloc, https, [url.hostname]
         else:
-            if "://" not in proxy:  # a bare host:port: the endpoint's scheme
-                proxy = f"{url.scheme}://{proxy}"
-            via = urllib.parse.urlsplit(proxy)
-            if via.scheme not in ("http", "https") or not via.hostname:
-                raise ValueError(f"the {url.scheme} proxy must be an http:// "
-                                 "or https:// URL with a host")
             peer, hosts = via.netloc.rpartition("@")[2], [via.hostname]
             auth = {}
             if via.username and via.password:
@@ -227,10 +228,15 @@ class HttpBackend(Backend):
                 tls = True
                 self._tunnel = {"host": url.netloc, "headers": auth}
                 hosts.append(url.hostname)
-            else:
+            else:  # the absolute form, with the endpoint's netloc as Host
                 tls = via.scheme == "https"
-                self._target = config.endpoint
-                self._headers.update(auth)
+                target, host = config.endpoint, _host(url.netloc, None)
+                fields += "".join(f"{k}: {v}\r\n" for k, v in auth.items())
+        # the head http.client would send, cut at the Content-Length value
+        self._head = (f"POST {target} HTTP/1.1\r\nHost: {host}\r\n"
+                      "Accept-Encoding: identity\r\nContent-Length: "
+                      ).encode("ascii")
+        self._tail = fields.encode("latin-1")  # the fields after that value
         # one TLS context for every request; loading the CA store costs tens
         # of milliseconds, so a route without TLS does without it
         if tls:
@@ -242,21 +248,23 @@ class HttpBackend(Backend):
 
     def _complete(self, req: CompletionRequest) -> str:
         token = os.environ.get(self.config.auth_env, "")
-        headers = dict(self._headers)
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
+        if "\r" in token or "\n" in token:
+            raise ValueError(f"${self.config.auth_env} holds a line break")
+        auth = f"Authorization: Bearer {token}\r\n" if token else ""
         data = json.dumps({
             "model": self.config.model,
             "messages": [{"role": r, "content": c} for r, c in req.messages],
             "temperature": req.temperature,
             "max_tokens": req.max_tokens,
         }).encode("utf-8")
+        message = b"".join((self._head, b"%d\r\n" % len(data), self._tail,
+                            auth.encode("latin-1"), b"\r\n", data))
         policy = self.config.retry
         last_error: Optional[Exception] = None
         for attempt in range(1, policy.max_attempts + 1):
             retry_after = None  # the Retry-After header of a 429
             try:
-                status, answer_headers, body = self._send(data, headers)
+                status, answer_headers, body = self._send(message)
             except BackendError as e:
                 last_error = e
             else:
@@ -264,13 +272,13 @@ class HttpBackend(Backend):
                     raise AuthError(f"authentication failed ({status})")
                 if status == 429:
                     last_error = BackendError("rate limited (429)")
-                    retry_after = answer_headers.get("Retry-After")
+                    retry_after = answer_headers.get("retry-after")
                 elif status >= 500:
                     last_error = BackendError(f"server error {status}")
                 elif status in _REDIRECTS:
                     raise BackendError(
                         f"redirect refused: status {status} to "
-                        f"{answer_headers.get('Location')}")
+                        f"{answer_headers.get('location')}")
                 elif status != 200:
                     raise BackendError(f"unexpected status {status}")
                 else:
@@ -309,11 +317,10 @@ class HttpBackend(Backend):
                 return conn
             conn.close()
 
-    def _send(self, data: bytes, headers: dict
-              ) -> tuple[int, http.client.HTTPMessage, bytes]:
+    def _send(self, message: bytes) -> tuple[int, dict[str, str], bytes]:
         """One attempt, on an idle connection or a new one: the status, the
-        headers and the whole body. A transport failure raises
-        :class:`BackendTimeout` or :class:`BackendError`, both retried."""
+        fields by lower-cased name and the whole body. A transport failure or
+        a bad answer raises :class:`BackendTimeout` or :class:`BackendError`."""
         conn = self._idle_connection()
         if conn is None:
             conn = self._connection(timeout=self.config.timeout)
@@ -327,14 +334,13 @@ class HttpBackend(Backend):
                 else:
                     with waiting():
                         conn.connect()
-            conn.request("POST", self._target, data, headers)
+            conn.sock.sendall(message)
             if _QUICKACK is not None:
                 conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
-            with waiting(), conn.getresponse() as response:
-                answer = response.status, response.headers, response.read()
-            reusable = not response.will_close
-            return answer
-        except (OSError, http.client.HTTPException) as e:
+            with waiting(), conn.sock.makefile("rb") as fp:
+                status, fields, body, reusable = _read_answer(fp)
+            return status, fields, body
+        except (OSError, http.client.HTTPException) as e:  # connect included
             if isinstance(e, TimeoutError):
                 raise BackendTimeout(
                     f"timed out after {self.config.timeout:g} s") from e
@@ -344,6 +350,122 @@ class HttpBackend(Backend):
                 self._idle.append(conn)
             else:
                 conn.close()
+
+
+def _proxy(url) -> Optional[urllib.parse.SplitResult]:
+    """The proxy the environment names for the split URL ``url``, or None."""
+    proxy = urllib.request.getproxies().get(url.scheme)
+    if not proxy or urllib.request.proxy_bypass(url.netloc):
+        return None
+    if "://" not in proxy:  # a bare host:port: the endpoint's scheme
+        proxy = f"{url.scheme}://{proxy}"
+    via = urllib.parse.urlsplit(proxy)
+    if via.scheme not in ("http", "https") or not via.hostname:
+        raise ValueError(f"the {url.scheme} proxy must be an http:// "
+                         "or https:// URL with a host")
+    return via
+
+
+def missing_key(config: BackendConfig) -> bool:
+    """Whether ``config`` is an http backend whose ``auth_env`` is unset or
+    empty and whose endpoint or proxy is not a loopback address."""
+    if config.kind != "http" or os.environ.get(config.auth_env):
+        return False
+    url = urllib.parse.urlsplit(config.endpoint)
+    via = _proxy(url)
+    return not all(_is_loopback(h) for h in
+                   [url.hostname] + ([via.hostname] if via else []))
+
+
+def _host(netloc: str, default_port: Optional[int]) -> str:
+    """The ``Host`` that ``http.client`` sends to ``netloc``: IDNA for a
+    non-ASCII name, and no port where it is ``default_port`` (if given)."""
+    if default_port is not None:
+        name, colon, port = netloc.rpartition(":")
+        if colon and "]" not in port:  # a port, not a colon of an IPv6 literal
+            number = int(port) if port else default_port
+            netloc = name if number == default_port else f"{name}:{number}"
+    return netloc if netloc.isascii() else netloc.encode("idna").decode("ascii")
+
+
+# http.client's bounds on the head of an answer
+_MAX_LINE = 65536
+_MAX_FIELDS = 100  # the blank line that ends them counts
+_STATUS_LINE = re.compile(rb"HTTP/1\.(\d+) ([1-9]\d\d)(?:\s|\Z)")
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]+")
+
+
+def _read_answer(fp) -> tuple[int, dict[str, str], bytes, bool]:
+    """The status, the fields by lower-cased name (the first of a repeated
+    name wins), the body and whether the connection may be reused, of one
+    answer read from ``fp`` as ``http.client`` reads it. Anything malformed,
+    a body cut short included, raises :class:`BackendError`."""
+    status = 100
+    while status < 200:  # interim 1xx answers are skipped
+        line = _line(fp)
+        match = _STATUS_LINE.match(line)
+        if not match:
+            raise BackendError(f"bad status line {line[:80]!r}" if line else
+                               "connection closed before an answer")
+        status = int(match[2])
+        fields = _fields(fp)
+    connection = fields.get("connection", "").lower()
+    if match[1] == b"0":  # HTTP/1.0 closes unless asked to keep alive
+        reusable = bool(fields.get("keep-alive")) or "keep-alive" in connection
+    else:
+        reusable = "close" not in connection
+    length = fields.get("content-length")
+    if status in (204, 304):
+        body = b""
+    elif fields.get("transfer-encoding", "").lower() == "chunked":
+        body = _read_chunked(fp)  # chunked wins over Content-Length
+    elif length:
+        if not (length.isascii() and length.isdigit()):
+            raise BackendError(f"bad Content-Length {length[:80]!r}")
+        body = fp.read(int(length))
+        if len(body) < int(length):
+            raise BackendError(f"body cut short at {len(body)} of {length} bytes")
+    else:  # the body runs to the end of the connection
+        body, reusable = fp.read(), False
+    return status, fields, body, reusable
+
+
+def _line(fp) -> bytes:
+    line = fp.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise BackendError(f"answer line longer than {_MAX_LINE} bytes")
+    return line
+
+
+def _fields(fp) -> dict[str, str]:
+    """Header or trailer fields up to a blank line, by lower-cased name."""
+    fields: dict[str, str] = {}
+    for _ in range(_MAX_FIELDS):
+        line = _line(fp)
+        if line in (b"\r\n", b"\n", b""):
+            return fields
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon:
+            raise BackendError(f"bad header line {line[:80]!r}")
+        fields.setdefault(name.lower(), value.strip())
+    raise BackendError(f"more than {_MAX_FIELDS} lines in an answer's head")
+
+
+def _read_chunked(fp) -> bytes:
+    """A chunked body, its chunk extensions and trailers dropped."""
+    chunks = []
+    while True:
+        size = _line(fp).partition(b";")[0].strip()
+        if not _CHUNK_SIZE.fullmatch(size):
+            raise BackendError(f"bad chunk size {size[:80]!r}")
+        n = int(size, 16)
+        if not n:
+            _fields(fp)  # the trailers
+            return b"".join(chunks)
+        chunk = fp.read(n + 2)
+        if chunk[n:] != b"\r\n":  # also when the chunk was cut short
+            raise BackendError("chunk cut short or not ended by CRLF")
+        chunks.append(chunk[:n])
 
 
 # Linux only; set after each send, since the kernel clears it again

@@ -3,6 +3,7 @@ failure reporting."""
 
 import dataclasses
 import json
+import socket
 import typing
 from pathlib import Path
 
@@ -288,6 +289,44 @@ class TestBackendConfig:
         payload = json.loads(result.output.strip().splitlines()[-1])
         assert payload["error"] == "ConfigError"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, endpoint, roles", [
+        ("contexts", "http://127.0.0.1:9/v1", []),
+        ("contexts", "http://todgen.invalid/v1", ["user"]),
+        ("qc", "http://todgen.invalid/v1", ["evaluator"]),
+        ("run-all", "http://todgen.invalid/v1", ["user", "system",
+                                                 "evaluator"]),
+    ])
+    def test_missing_api_key_warns_before_any_stage(
+            self, runner, tmp_path, monkeypatch, command, endpoint, roles):
+        """One warning per backend role the command builds whose endpoint is
+        not a loopback address, and the command goes on. The stages fail
+        without a completion: ``contexts`` and ``qc`` lack their input, and
+        ``run-all`` reaches no server through a proxy on a closed port."""
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]
+        for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{port}")
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        monkeypatch.setenv("TODGEN_API_KEY", "")
+        config = tmp_path / "c.yaml"
+        backend = (f"{{kind: http, endpoint: '{endpoint}', "
+                   "retry: {max_attempts: 1}}")
+        config.write_text("".join(f"{role}_backend: {backend}\n" for role in
+                                  ("user", "system", "evaluator")))
+        result = runner.invoke(main, [command, "--config", str(config),
+                                      "--out", str(tmp_path / "out"),
+                                      "--count", "2"])
+        assert result.exit_code == 1
+        *warnings, failure = result.stderr.splitlines()
+        assert warnings == [
+            f"warning: {role}_backend sends no API key, as $TODGEN_API_KEY "
+            "is unset or empty" for role in roles]
+        assert json.loads(failure)["stage"] == (
+            "personas" if command == "run-all" else command)
 
     def test_backend_option_goes_through_the_loader(self, runner, tmp_path):
         """``--backend http`` with no endpoint fails as a bad config does,

@@ -3,9 +3,11 @@ auth handling, and error surfaces."""
 
 import datetime
 import http.client
+import io
 import json
 import os
 import random
+import select
 import socket
 import statistics
 import struct
@@ -18,8 +20,9 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from todgen import runner
+from todgen import llm, runner
 from todgen.config import PipelineConfig
 from todgen.llm import (
     AuthError,
@@ -587,6 +590,13 @@ class TestKeepAlive:
                 assert backend.complete(req(content="b")) == "b"
         assert server.requests == [(1, "a"), (2, "b")]
 
+    def test_idle_connection_check_without_poll(self, monkeypatch):
+        """Platforms without ``select.poll`` (Windows) check an idle
+        connection with ``select.select``, and replace a closed one the
+        same way."""
+        monkeypatch.delattr(select, "poll")
+        self.test_idle_connection_closed_by_the_server_is_replaced()
+
     def test_reset_after_the_send_costs_an_attempt(self):
         """Every request after the first is read and answered with a reset;
         each one is an attempt, so the server sees no more of them than the
@@ -643,31 +653,49 @@ class TestKeepAlive:
         assert statistics.median(times) < 0.020, times
 
 
-def _record_turn(monkeypatch, connect):
+class _SentSocket:
+    """A connected socket that calls ``sent()`` after each ``sendall``."""
+
+    def __init__(self, sock, sent):
+        self._sock, self._sent = sock, sent
+
+    def sendall(self, data):
+        self._sock.sendall(data)
+        self._sent()
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def _on_send(monkeypatch, connect, sent):
     """Patches ``http.client`` to make each connection with ``connect`` and
-    to record (step, whether the dialog held its turn) at each connect, send
-    and body read; the list of records."""
+    to call ``sent()`` after each request is written to it."""
+    def connect_and_watch(conn):
+        connect(conn)
+        conn.sock = _SentSocket(conn.sock, sent)
+
+    for cls in (http.client.HTTPConnection, http.client.HTTPSConnection):
+        monkeypatch.setattr(cls, "connect", connect_and_watch)
+
+
+def _record_turn(monkeypatch, connect):
+    """Makes each connection with ``connect`` and records (step, whether the
+    dialog held its turn) at each connect, send and answer read; the list of
+    records."""
     held = []
-    endheaders = http.client.HTTPConnection.endheaders
-    read = http.client.HTTPResponse.read
+    read_answer = llm._read_answer
 
     def recorded_connect(conn):
         held.append(("connect", runner._local.turn.locked()))
         connect(conn)
 
-    def recorded_endheaders(conn, *args, **kwargs):  # sends the request
-        endheaders(conn, *args, **kwargs)
-        held.append(("sent", runner._local.turn.locked()))
-
-    def recorded_read(response, *args):
+    def recorded_read_answer(fp):
         held.append(("body", runner._local.turn.locked()))
-        return read(response, *args)
+        return read_answer(fp)
 
-    for cls in (http.client.HTTPConnection, http.client.HTTPSConnection):
-        monkeypatch.setattr(cls, "connect", recorded_connect)
-    monkeypatch.setattr(http.client.HTTPConnection, "endheaders",
-                        recorded_endheaders)
-    monkeypatch.setattr(http.client.HTTPResponse, "read", recorded_read)
+    _on_send(monkeypatch, recorded_connect,
+             lambda: held.append(("sent", runner._local.turn.locked())))
+    monkeypatch.setattr(llm, "_read_answer", recorded_read_answer)
     return held
 
 
@@ -681,19 +709,13 @@ class TestTurnHandOver:
         events = []  # ("start" | "sent", dialog index), in order
         current = threading.local()
         connect = http.client.HTTPConnection.connect
-        endheaders = http.client.HTTPConnection.endheaders
 
         def slow_connect(conn):  # room for another dialog to run, if it may
             time.sleep(0.05)
             connect(conn)
 
-        def recorded_endheaders(conn, *args, **kwargs):  # sends the request
-            endheaders(conn, *args, **kwargs)
-            events.append(("sent", current.dialog))
-
-        monkeypatch.setattr(http.client.HTTPConnection, "connect", slow_connect)
-        monkeypatch.setattr(http.client.HTTPConnection, "endheaders",
-                            recorded_endheaders)
+        _on_send(monkeypatch, slow_connect,
+                 lambda: events.append(("sent", current.dialog)))
         backend = http_backend(stub_server)
 
         def dialog(i):
@@ -777,6 +799,214 @@ class TestTurnHandOver:
         assert 2 <= accepted <= 4
         assert closed == accepted
         assert not backend._idle
+
+
+class _CannedSocket:
+    """A connected socket that keeps what is sent to it and answers with
+    ``answer``."""
+
+    def __init__(self, answer=b""):
+        self.answer, self.sent = answer, b""
+
+    def makefile(self, mode):
+        return io.BufferedReader(io.BytesIO(self.answer))
+
+    def sendall(self, data):
+        self.sent += data
+
+    def setsockopt(self, *args):
+        pass
+
+    def close(self):
+        pass
+
+
+def _http_client_reads(raw):
+    """What ``http.client`` reads from the answer ``raw``: the status, the
+    body, whether the connection stays open, Retry-After and Location."""
+    response = http.client.HTTPResponse(_CannedSocket(raw), method="POST")
+    try:
+        response.begin()
+        body = response.read()
+        return (response.status, body, not response.will_close,
+                response.headers.get("Retry-After"),
+                response.headers.get("Location"))
+    finally:
+        response.close()
+
+
+def _backend_reads(raw):
+    """The same, as ``llm._read_answer`` reads it."""
+    with _CannedSocket(raw).makefile("rb") as fp:
+        status, fields, body, reusable = llm._read_answer(fp)
+    return (status, body, reusable, fields.get("retry-after"),
+            fields.get("location"))
+
+
+_CASES = st.sampled_from([str, str.lower, str.upper])
+
+
+@st.composite
+def _answers(draw):
+    """A well-formed HTTP/1.x answer, with header names in any case."""
+    def name(field):
+        return draw(_CASES)(field)
+
+    status = draw(st.sampled_from([200, 204, 301, 304, 429, 500, 503]))
+    fields = []
+    tokens = draw(st.lists(st.sampled_from(
+        ["close", "keep-alive", "Keep-Alive", "Upgrade", "TE"]), max_size=3))
+    if tokens:
+        fields.append((name("Connection"), ", ".join(tokens)))
+    if draw(st.booleans()):
+        fields.append((name("Keep-Alive"), "timeout=5, max=100"))
+    for _ in range(draw(st.integers(0, 2))):  # the first of repeats counts
+        fields.append((name("Retry-After"), str(draw(st.integers(0, 120)))))
+    for i in range(draw(st.integers(0, 2))):
+        fields.append((name("Location"), f"http://127.0.0.1/elsewhere/{i}"))
+    body = draw(st.binary(max_size=64)) if status not in (204, 304) else b""
+    framing = draw(st.sampled_from(["length", "close"] if status in (204, 304)
+                                   else ["length", "chunked", "close"]))
+    tail = body
+    if framing == "length":
+        fields.append((name("Content-Length"), str(len(body))))
+    elif framing == "chunked":
+        fields.append((name("Transfer-Encoding"),
+                       draw(st.sampled_from(["chunked", "Chunked"]))))
+        if draw(st.booleans()):  # chunked wins over Content-Length
+            fields.append((name("Content-Length"), "3"))
+        tail, rest = b"", body
+        while rest:
+            n = draw(st.integers(1, len(rest)))
+            size = draw(st.sampled_from(["%x", "%X"])) % n
+            ext = draw(st.sampled_from(["", ";name=value", ";flag"]))
+            tail += f"{size}{ext}\r\n".encode() + rest[:n] + b"\r\n"
+            rest = rest[n:]
+        tail += b"0\r\n" + b"".join(
+            f"X-Trailer-{i}: t\r\n".encode()
+            for i in range(draw(st.integers(0, 2)))) + b"\r\n"
+    fields = draw(st.permutations(fields))
+    version = draw(st.sampled_from(["HTTP/1.0", "HTTP/1.1"]))
+    head = f"{version} {status} Reason\r\n" + "".join(
+        f"{k}: {v}\r\n" for k, v in fields) + "\r\n"
+    if draw(st.booleans()):
+        head = "HTTP/1.1 100 Continue\r\n\r\n" + head
+    return head.encode("latin-1") + tail
+
+
+def _fields(count):
+    return b"".join(b"X-Field-%d: v\r\n" % i for i in range(count))
+
+
+class TestAnswerReader:
+    """``llm._read_answer`` reads every answer as ``http.client`` does, and
+    raises where it raises."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_answers())
+    def test_reads_as_http_client_does(self, raw):
+        assert _backend_reads(raw) == _http_client_reads(raw)
+
+    @pytest.mark.parametrize("raw", [
+        b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536 + b"\r\n\r\n",
+        b"HTTP/1.1 200 OK" + b"K" * 65536 + b"\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\n" + _fields(101) + b"\r\n",
+        b"HTTP/1.1 200 OK\r\n" + _fields(100) + b"\r\n",
+        b"HTTP/1.1 abc OK\r\n\r\n",
+        b"HTTP/1.1 20 OK\r\n\r\n",
+        b"HTTP/1.1 2000 OK\r\n\r\n",
+        b"HTTP/2.0 200 OK\r\n\r\n",
+        b"ICY 200 OK\r\n\r\n",
+        b"",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n9\r\nshort",
+    ], ids=["long-field", "long-status", "101-fields", "100-fields",
+            "word-status", "two-digits", "four-digits", "http-2", "icy",
+            "nothing", "short-body", "bad-chunk-size", "short-chunk"])
+    def test_malformed_answer_raises_as_in_http_client(self, raw):
+        with pytest.raises(http.client.HTTPException):
+            _http_client_reads(raw)
+        with pytest.raises(BackendError):
+            _backend_reads(raw)
+
+    def test_99_fields_are_read(self):
+        raw = (b"HTTP/1.1 200 OK\r\n" + _fields(98)
+               + b"Content-Length: 2\r\n\r\nok")
+        assert _backend_reads(raw) == _http_client_reads(raw)
+
+    def test_malformed_answer_is_one_failed_attempt(self):
+        """A garbled answer fails its attempt and the client closes its
+        connection, which the server keeps open; the retry goes out on a
+        new connection."""
+        def answer(handler, n, prompt):
+            if n == 1:
+                handler.wfile.write(b"HTTP/1.1 2x0 OK\r\n\r\n")
+            else:
+                _reply(handler, prompt)
+
+        with keep_alive_server(answer) as server:
+            with closing(http_backend(server.url, attempts=2)) as backend:
+                assert backend.complete(req(content="a")) == "a"
+        assert server.requests == [(1, "a"), (2, "a")]
+
+
+@pytest.mark.parametrize("endpoint, proxy, token, reference", [
+    ("http://127.0.0.1:8080/v1/chat/completions?x=1", {}, "",
+     (http.client.HTTPConnection, "127.0.0.1:8080", None,
+      "/v1/chat/completions?x=1")),
+    ("http://[::1]:8080/v1/chat", {}, "sk-1",
+     (http.client.HTTPConnection, "[::1]:8080", None, "/v1/chat")),
+    ("https://api.example.com:443/v1/chat", {}, "sk-1",
+     (http.client.HTTPSConnection, "api.example.com:443", None, "/v1/chat")),
+    ("http://bücher.example/v1", {}, "sk-1",
+     (http.client.HTTPConnection, "bücher.example", None, "/v1")),
+    ("http://todgen.invalid/v1/chat",
+     {"http_proxy": "http://u:p@127.0.0.1:3128"}, "sk-1",
+     (http.client.HTTPConnection, "127.0.0.1:3128", None,
+      "http://todgen.invalid/v1/chat")),
+    ("https://todgen.invalid/v1/chat",
+     {"https_proxy": "http://u:p@127.0.0.1:3128"}, "sk-1",
+     (http.client.HTTPSConnection, "127.0.0.1:3128", "todgen.invalid",
+      "/v1/chat")),
+], ids=["direct", "ipv6", "default-port", "idna", "proxy", "tunnel"])
+def test_request_is_the_bytes_http_client_sends(monkeypatch, endpoint, proxy,
+                                                token, reference):
+    """On every route the request equals, byte for byte, what
+    ``http.client`` sent for it: target, Host, header order and body."""
+    _proxy_env(monkeypatch, **proxy)
+    monkeypatch.setenv("TODGEN_API_KEY", token)
+    data = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode()
+    sockets = []
+
+    def canned_connect(conn):
+        conn.sock = _CannedSocket(b"HTTP/1.1 200 OK\r\nContent-Length: %d"
+                                  b"\r\n\r\n%s" % (len(data), data))
+        sockets.append(conn.sock)
+
+    for cls in (http.client.HTTPConnection, http.client.HTTPSConnection):
+        monkeypatch.setattr(cls, "connect", canned_connect)
+    backend = http_backend(endpoint)
+    assert backend.complete(req()) == "ok"
+
+    cls, peer, tunnel, target = reference
+    headers = {"Content-Type": "application/json", "User-Agent": USER_AGENT}
+    if proxy:
+        auth = {"Proxy-Authorization": "Basic dTpw"}  # u:p
+    conn = cls(peer)
+    if tunnel:
+        conn.set_tunnel(tunnel, headers=auth)
+    elif proxy:
+        headers.update(auth)
+    if token:
+        headers["Authorization"] = f"Bearer {token}"
+    body = json.dumps({"model": "stub-model",
+                       "messages": [{"role": "user", "content": "hello"}],
+                       "temperature": 0.7, "max_tokens": 512}).encode()
+    conn.sock = _CannedSocket()
+    conn.request("POST", target, body, headers)
+    [sent] = [s.sent for s in sockets]
+    assert sent == conn.sock.sent
 
 
 def test_cli_import_does_not_load_requests():
