@@ -42,9 +42,8 @@ from .realizer import realize_dialog
 from .rng import derive_rng
 from .runner import run_dialogs
 from .sampler import sample_specimen
-from .schema import SchemaSet, load_schema_set
 
-_STAGE_ERRORS = (ConfigError, ValueError, RuntimeError, OSError, KeyError)
+_STAGE_ERRORS = (ValueError, RuntimeError, OSError, KeyError)
 
 
 def _fail(stage: str, error: Exception) -> None:
@@ -62,7 +61,7 @@ def _build_config(config, seed, count, services, backend, out) -> PipelineConfig
         overrides.update((f"{role}_backend", {"kind": backend})
                          for role in ("user", "system", "evaluator"))
     cfg = load_config(config, **overrides)
-    _schemas(cfg)  # a bad schema set or services subset fails before any stage
+    cfg.schemas  # a bad schema set or services subset fails before any stage
     return cfg
 
 
@@ -80,13 +79,6 @@ def _warn_missing_keys(cfg: PipelineConfig, stages) -> None:
         if missing_key(backend):
             click.echo(f"warning: {role}_backend sends no API key, as "
                        f"${backend.auth_env} is unset or empty", err=True)
-
-
-def _schemas(cfg: PipelineConfig) -> SchemaSet:
-    schemas = load_schema_set(cfg.schema_manifest_path)
-    if cfg.services:
-        schemas = schemas.subset(cfg.services)
-    return schemas
 
 
 def _outdir(cfg: PipelineConfig) -> Path:
@@ -158,7 +150,7 @@ def stage_contexts(cfg: PipelineConfig) -> list:
     """Per dialog: assign a persona, sample a clock, generate app contexts."""
     out = _outdir(cfg)
     pool = _personas(out)
-    schemas = _schemas(cfg)
+    schemas = cfg.schemas
 
     def context_row(i: int) -> dict:
         assign_rng = derive_rng(cfg.seed, "assign", i)
@@ -198,7 +190,7 @@ def stage_plots(cfg: PipelineConfig) -> list:
     out = _outdir(cfg)
     ctx_rows = read_jsonl(
         _require(out / "contexts.jsonl", "contexts"), _context_row, "row")
-    schemas = _schemas(cfg)
+    schemas = cfg.schemas
 
     def plot_row(i: int) -> dict:
         dialog_id, persona_id, contexts = ctx_rows[i]

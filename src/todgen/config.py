@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Optional
-from urllib.parse import urlsplit
 
 import yaml
 
 from .llm import BackendConfig
+from .schema import SchemaSet, load_schema_set
 from .typed import BuildError, build
 
 __all__ = ["PipelineConfig", "ConfigError", "load_config", "data_path"]
@@ -112,14 +113,19 @@ class PipelineConfig:
                 f"held_out_service {self.held_out_service!r} is not in the "
                 f"services subset {list(self.services)}"
             )
-        for name in _BACKEND_FIELDS:
-            _check_backend(name, getattr(self, name))
 
     @property
     def schema_manifest_path(self) -> Path:
         if self.schema_manifest:
             return Path(self.schema_manifest)
         return data_path("data", "schemas", "manifest.txt")
+
+    @cached_property
+    def schemas(self) -> SchemaSet:
+        """The schema set of ``schema_manifest_path``, cut to ``services``
+        when they are given; loaded on first use, once per config."""
+        schemas = load_schema_set(self.schema_manifest_path)
+        return schemas.subset(self.services) if self.services else schemas
 
     @property
     def surname_table_path(self) -> Path:
@@ -132,38 +138,6 @@ class PipelineConfig:
         if self.industry_table:
             return Path(self.industry_table)
         return data_path("data", "tables", "industries.csv")
-
-
-_BACKEND_FIELDS = ("user_backend", "system_backend", "evaluator_backend")
-
-
-def _check_backend(name: str, b: BackendConfig) -> None:
-    """Reject a backend config that could only fail at its first completion,
-    or that would be retried as if the failure were transient."""
-    if b.kind not in ("mock", "http"):
-        raise ConfigError(f"{name}.kind must be 'mock' or 'http', got {b.kind!r}")
-    if b.kind == "http":
-        try:
-            url = urlsplit(b.endpoint)
-            ok = url.scheme in ("http", "https") and bool(url.hostname)
-        except ValueError:
-            ok = False
-        if not ok:
-            raise ConfigError(
-                f"{name}.endpoint must be an absolute http:// or https:// URL "
-                f"with a host, got {b.endpoint!r}"
-            )
-    if not b.timeout > 0:
-        raise ConfigError(f"{name}.timeout must be > 0, got {b.timeout}")
-    if b.retry.max_attempts < 1:
-        raise ConfigError(
-            f"{name}.retry.max_attempts must be at least 1, "
-            f"got {b.retry.max_attempts}"
-        )
-    if not b.retry.backoff >= 0:
-        raise ConfigError(
-            f"{name}.retry.backoff must be >= 0, got {b.retry.backoff}"
-        )
 
 
 def load_config(path: Optional[str] = None, **overrides) -> PipelineConfig:

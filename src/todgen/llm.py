@@ -102,9 +102,20 @@ class RetryPolicy:
     max_attempts: int = 3
     backoff: float = 0.1
 
+    def __post_init__(self):
+        if self.max_attempts < 1:
+            raise ValueError(
+                f"max_attempts must be at least 1, got {self.max_attempts}")
+        if not self.backoff >= 0:
+            raise ValueError(f"backoff must be >= 0, got {self.backoff}")
+
 
 @dataclass(frozen=True)
 class BackendConfig:
+    """One backend, checked when it is built, from YAML or in code: a config
+    that could only fail at its first completion, or whose failure would be
+    retried as if it were transient, is rejected here."""
+
     kind: str = "mock"  # "mock" or "http"
     endpoint: str = ""
     model: str = ""
@@ -113,11 +124,25 @@ class BackendConfig:
     retry: RetryPolicy = RetryPolicy()
 
     def __post_init__(self):
-        if self.kind == "http" and not self.endpoint:
-            raise ValueError("http backend requires an endpoint")
+        if self.kind not in ("mock", "http"):
+            raise ValueError(f"kind must be 'mock' or 'http', got {self.kind!r}")
+        if self.kind == "http":
+            if not self.endpoint:
+                raise ValueError("http backend requires an endpoint")
+            try:
+                url = urllib.parse.urlsplit(self.endpoint)
+                ok = url.scheme in ("http", "https") and bool(url.hostname)
+            except ValueError:
+                ok = False
+            if not ok:
+                raise ValueError(
+                    "endpoint must be an absolute http:// or https:// URL "
+                    f"with a host, got {self.endpoint!r}")
         # what http.client refuses in a request target or a Host
         if re.search(r"[\x00-\x20\x7f]", self.endpoint):
             raise ValueError("endpoint holds a space or a control character")
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout}")
 
 
 class Backend:
@@ -196,10 +221,9 @@ class HttpBackend(Backend):
     The request is built and sent with the dialog's turn held (see
     :mod:`todgen.runner`), so it is on the wire before another dialog runs.
     The turn is given up while the request awaits its answer, body
-    included, for a connect unless every peer is a loopback address, and
-    during a retry backoff. A loopback connect takes less time than the
-    other dialog's work that would run before the send if the turn were
-    given up. A request on a reused connection makes no connect.
+    included, during every connect (TLS and tunnel included) and during a
+    retry backoff. A request on a reused connection makes no connect, so
+    with keep-alive a connect is rare.
     """
 
     def __init__(self, config: BackendConfig):
@@ -216,9 +240,9 @@ class HttpBackend(Backend):
         self._tunnel: Optional[dict] = None  # set_tunnel's arguments
         via = _proxy(url)
         if via is None:
-            peer, tls, hosts = url.netloc, https, [url.hostname]
+            peer, tls = url.netloc, https
         else:
-            peer, hosts = via.netloc.rpartition("@")[2], [via.hostname]
+            peer = via.netloc.rpartition("@")[2]
             auth = {}
             if via.username and via.password:
                 creds = urllib.parse.unquote(f"{via.username}:{via.password}")
@@ -227,7 +251,6 @@ class HttpBackend(Backend):
             if https:  # TLS to the endpoint, through a CONNECT to the proxy
                 tls = True
                 self._tunnel = {"host": url.netloc, "headers": auth}
-                hosts.append(url.hostname)
             else:  # the absolute form, with the endpoint's netloc as Host
                 tls = via.scheme == "https"
                 target, host = config.endpoint, _host(url.netloc, None)
@@ -244,7 +267,6 @@ class HttpBackend(Backend):
                                        context=ssl.create_default_context())
         else:
             self._connection = partial(http.client.HTTPConnection, peer)
-        self._loopback = all(_is_loopback(h) for h in hosts)
 
     def _complete(self, req: CompletionRequest) -> str:
         token = os.environ.get(self.config.auth_env, "")
@@ -329,11 +351,8 @@ class HttpBackend(Backend):
         reusable = False
         try:
             if conn.sock is None:  # a new connection
-                if self._loopback:
+                with waiting():
                     conn.connect()
-                else:
-                    with waiting():
-                        conn.connect()
             conn.sock.sendall(message)
             if _QUICKACK is not None:
                 conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
@@ -393,6 +412,7 @@ _MAX_LINE = 65536
 _MAX_FIELDS = 100  # the blank line that ends them counts
 _STATUS_LINE = re.compile(rb"HTTP/1\.(\d+) ([1-9]\d\d)(?:\s|\Z)")
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]+")
+_PIECE = 65536  # the most of a body read at once
 
 
 def _read_answer(fp) -> tuple[int, dict[str, str], bytes, bool]:
@@ -422,9 +442,7 @@ def _read_answer(fp) -> tuple[int, dict[str, str], bytes, bool]:
     elif length:
         if not (length.isascii() and length.isdigit()):
             raise BackendError(f"bad Content-Length {length[:80]!r}")
-        body = fp.read(int(length))
-        if len(body) < int(length):
-            raise BackendError(f"body cut short at {len(body)} of {length} bytes")
+        body = _read_exactly(fp, int(length))
     else:  # the body runs to the end of the connection
         body, reusable = fp.read(), False
     return status, fields, body, reusable
@@ -462,10 +480,24 @@ def _read_chunked(fp) -> bytes:
         if not n:
             _fields(fp)  # the trailers
             return b"".join(chunks)
-        chunk = fp.read(n + 2)
-        if chunk[n:] != b"\r\n":  # also when the chunk was cut short
-            raise BackendError("chunk cut short or not ended by CRLF")
+        chunk = _read_exactly(fp, n + 2)
+        if chunk[n:] != b"\r\n":
+            raise BackendError("chunk not ended by CRLF")
         chunks.append(chunk[:n])
+
+
+def _read_exactly(fp, n: int) -> bytes:
+    """``n`` bytes of a body, read in pieces of at most 64 KiB, so that
+    memory grows only as bytes arrive, whatever length the answer claims.
+    An end of file before ``n`` bytes raises :class:`BackendError`."""
+    pieces, left = [], n
+    while left:
+        piece = fp.read(min(left, _PIECE))
+        if not piece:
+            raise BackendError(f"body cut short at {n - left} of {n} bytes")
+        pieces.append(piece)
+        left -= len(piece)
+    return b"".join(pieces)
 
 
 # Linux only; set after each send, since the kernel clears it again
@@ -855,6 +887,4 @@ def make_backend(config: BackendConfig, seed: int) -> Backend:
     pipeline seed."""
     if config.kind == "mock":
         return MockBackend(seed=seed)
-    if config.kind == "http":
-        return HttpBackend(config)
-    raise ValueError(f"unknown backend kind {config.kind!r}")
+    return HttpBackend(config)

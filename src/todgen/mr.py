@@ -109,9 +109,6 @@ class Action:
         )
         return Action(self.head, new_args, self.chain)
 
-    def __str__(self) -> str:
-        return print_action(self)
-
 
 @dataclass(frozen=True)
 class Turn:

@@ -4,16 +4,18 @@ failure reporting."""
 import dataclasses
 import json
 import socket
+import sys
 import typing
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from todgen.cli import main
+from todgen import schema
+from todgen.cli import main, stage_contexts, stage_personas, stage_plots
 from todgen.config import ConfigError, PipelineConfig, load_config
 from todgen.dataset import read_dataset
-from todgen.llm import MockBackend
+from todgen.llm import BackendConfig, MockBackend, RetryPolicy
 
 
 @pytest.fixture
@@ -252,21 +254,29 @@ class TestBackendConfig:
     def test_bad_http_endpoint_rejected(self, tmp_path, endpoint):
         with pytest.raises(ConfigError, match="absolute http"):
             load_backend_yaml(tmp_path, f"{{kind: http, endpoint: '{endpoint}'}}")
+        with pytest.raises(ValueError, match="absolute http"):
+            BackendConfig(kind="http", endpoint=endpoint)
 
     @pytest.mark.parametrize("attempts", [0, -1])
     def test_max_attempts_below_one_rejected(self, tmp_path, attempts):
         with pytest.raises(ConfigError, match="max_attempts must be at least 1"):
             load_backend_yaml(
                 tmp_path, f"{{kind: mock, retry: {{max_attempts: {attempts}}}}}")
+        with pytest.raises(ValueError, match="max_attempts must be at least 1"):
+            RetryPolicy(max_attempts=attempts)
 
     def test_negative_backoff_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="backoff must be >= 0"):
             load_backend_yaml(tmp_path, "{kind: mock, retry: {backoff: -0.5}}")
+        with pytest.raises(ValueError, match="backoff must be >= 0"):
+            RetryPolicy(backoff=-0.5)
 
     @pytest.mark.parametrize("timeout", [0, -3])
     def test_timeout_not_positive_rejected(self, tmp_path, timeout):
         with pytest.raises(ConfigError, match="timeout must be > 0"):
             load_backend_yaml(tmp_path, f"{{kind: mock, timeout: {timeout}}}")
+        with pytest.raises(ValueError, match="timeout must be > 0"):
+            BackendConfig(timeout=timeout)
 
     @pytest.mark.parametrize("backend, message", [
         ("{kind: quantum}", "kind must be 'mock' or 'http'"),
@@ -371,6 +381,53 @@ class TestBackendConfig:
         for name in names:
             assert (tmp_path / "default" / name).read_bytes() == \
                 (tmp_path / "spelled" / name).read_bytes(), name
+
+
+def _count_schema_loads(monkeypatch) -> list:
+    """Wraps ``load_schema_set`` in every todgen module that bound it; the
+    returned list gets one entry per call."""
+    calls = []
+    load = schema.load_schema_set
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return load(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "todgen"
+                and getattr(module, "load_schema_set", None) is load):
+            monkeypatch.setattr(module, "load_schema_set", counted)
+    return calls
+
+
+class TestSchemaLoads:
+    """A config loads its schema set once, however many stages read it."""
+
+    def test_run_all_loads_the_schema_set_once(self, runner, workdir,
+                                               monkeypatch):
+        calls = _count_schema_loads(monkeypatch)
+        run(runner, ["run-all", "--config", str(workdir / "config.yaml")])
+        assert len(calls) == 1
+
+    def test_stages_on_one_config_load_it_once(self, workdir, monkeypatch):
+        """The benchmark worker's sequence: one config, stage by stage."""
+        cfg = load_config(workdir / "config.yaml")
+        calls = _count_schema_loads(monkeypatch)
+        stage_personas(cfg)
+        stage_contexts(cfg)
+        stage_plots(cfg)
+        assert len(calls) == 1
+
+
+def test_config_and_schema_field_counts():
+    """Each field is a knob or a schema key that tests and the benchmark
+    must cover; adding one means editing this count on purpose."""
+    counts = {cls.__name__: len(dataclasses.fields(cls)) for cls in (
+        PipelineConfig, BackendConfig, RetryPolicy, schema.ServiceSchema,
+        schema.IntentSpec, schema.SlotSpec)}
+    assert counts == {"PipelineConfig": 25, "BackendConfig": 6,
+                      "RetryPolicy": 2, "ServiceSchema": 3, "IntentSpec": 12,
+                      "SlotSpec": 4}
 
 
 class TestRunAll:

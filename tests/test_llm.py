@@ -701,46 +701,52 @@ def _record_turn(monkeypatch, connect):
 
 class TestTurnHandOver:
     """A dialog builds and sends its request with its turn held and gives the
-    turn up while the request awaits its answer, and for a connect to a peer
-    other than a loopback address."""
+    turn up while the request awaits its answer and during every connect."""
 
-    def test_request_is_sent_before_another_dialog_runs(self, stub_server,
-                                                        monkeypatch):
+    def test_request_is_sent_before_another_dialog_runs(self, monkeypatch):
+        """One completion warms the pool, so dialog 0 sends on the idle
+        connection and dialog 1, which starts while dialog 0 awaits its
+        answer, connects with its turn given up."""
         events = []  # ("start" | "sent", dialog index), in order
         current = threading.local()
-        connect = http.client.HTTPConnection.connect
 
-        def slow_connect(conn):  # room for another dialog to run, if it may
+        def slow_sent():  # room for another dialog to run, if it may
             time.sleep(0.05)
-            connect(conn)
+            events.append(("sent", current.dialog))
 
-        _on_send(monkeypatch, slow_connect,
-                 lambda: events.append(("sent", current.dialog)))
-        backend = http_backend(stub_server)
+        _on_send(monkeypatch, http.client.HTTPConnection.connect, slow_sent)
+        with keep_alive_server() as server:
+            with closing(http_backend(server.url)) as backend:
+                current.dialog = "warm"
+                assert backend.complete(req(content="warm")) == "warm"
 
-        def dialog(i):
-            current.dialog = i
-            events.append(("start", i))
-            return backend.complete(req(content=f"dialog {i}"))
+                def dialog(i):
+                    current.dialog = i
+                    events.append(("start", i))
+                    return backend.complete(req(content=f"dialog {i}"))
 
-        assert runner.run_dialogs(dialog, [0, 1], 2) == ["stub reply"] * 2
-        assert events == [("start", 0), ("sent", 0), ("start", 1), ("sent", 1)]
+                out = runner.run_dialogs(dialog, [0, 1], 2)
+        assert out == ["dialog 0", "dialog 1"]
+        assert events == [("sent", "warm"), ("start", 0), ("sent", 0),
+                          ("start", 1), ("sent", 1)]
+        assert sorted(server.requests) == [(1, "dialog 0"), (1, "warm"),
+                                           (2, "dialog 1")]
 
-    @pytest.mark.parametrize("endpoint, proxied, connect_held", [
-        ("http://127.0.0.1", False, True),
-        ("http://localhost", False, True),
-        ("http://[::1]", False, True),
-        ("http://todgen.invalid", False, False),
-        ("https://127.0.0.1", False, True),
-        ("https://todgen.invalid", False, False),
-        ("http://todgen.invalid", True, True),  # connects to the proxy
-        ("https://todgen.invalid", True, False),  # tunnels through it
+    @pytest.mark.parametrize("endpoint, proxied", [
+        ("http://127.0.0.1", False),
+        ("http://localhost", False),
+        ("http://[::1]", False),
+        ("http://todgen.invalid", False),
+        ("https://127.0.0.1", False),
+        ("https://todgen.invalid", False),
+        ("http://todgen.invalid", True),  # connects to the proxy
+        ("https://todgen.invalid", True),  # tunnels through it
     ])
     def test_turn_is_held_to_connect_only_to_loopback_peers(
-            self, stub_server, monkeypatch, endpoint, proxied, connect_held):
+            self, stub_server, monkeypatch, endpoint, proxied):
         """The request is sent with the turn held and its answer, body
-        included, awaited with the turn given up; the connect holds the turn
-        only when it talks to loopback addresses alone."""
+        included, awaited with the turn given up; the connect gives the turn
+        up on every route, to a loopback peer too."""
         port = int(stub_server.split(":")[2].split("/")[0])
         for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
             monkeypatch.delenv(name, raising=False)
@@ -756,8 +762,7 @@ class TestTurnHandOver:
         backend = http_backend(f"{endpoint}:{port}/v1/chat/completions")
         out = runner.run_dialogs(lambda _: backend.complete(req()), [0], 1)
         assert out == ["stub reply"]
-        assert held == [("connect", connect_held), ("sent", True),
-                        ("body", False)]
+        assert held == [("connect", False), ("sent", True), ("body", False)]
 
     def test_reused_connection_makes_no_connect(self, monkeypatch):
         """The second request goes out on the first one's connection: no
@@ -770,7 +775,7 @@ class TestTurnHandOver:
                                for k in range(2)], [0], 1)
         assert out == [["0.0", "0.1"]]
         assert server.requests == [(1, "0.0"), (1, "0.1")]
-        assert held == [("connect", True), ("sent", True), ("body", False),
+        assert held == [("connect", False), ("sent", True), ("body", False),
                         ("sent", True), ("body", False)]
 
     def test_connections_never_outnumber_requests_in_flight(self):
@@ -948,6 +953,24 @@ class TestAnswerReader:
         with keep_alive_server(answer) as server:
             with closing(http_backend(server.url, attempts=2)) as backend:
                 assert backend.complete(req(content="a")) == "a"
+        assert server.requests == [(1, "a"), (2, "a")]
+
+    @pytest.mark.parametrize("head", [
+        b"Content-Length: 1" + b"0" * 30 + b"\r\n\r\n",
+        b"Transfer-Encoding: chunked\r\n\r\n" + b"f" * 32 + b"\r\n",
+    ], ids=["content-length", "chunk-size"])
+    def test_oversized_body_length_is_one_failed_attempt(self, head):
+        """A length no answer can reach, followed by a few bytes and the end
+        of the connection, is a body cut short: each attempt fails and the
+        retry policy runs out, whatever memory the length would take."""
+        def answer(handler, n, prompt):
+            handler.wfile.write(b"HTTP/1.1 200 OK\r\n" + head + b"short")
+            handler.close_connection = True
+
+        with keep_alive_server(answer) as server:
+            with closing(http_backend(server.url, attempts=2)) as backend:
+                with pytest.raises(RetryExhaustedError, match="cut short"):
+                    backend.complete(req(content="a"))
         assert server.requests == [(1, "a"), (2, "a")]
 
 
@@ -1141,8 +1164,8 @@ class TestMakeBackend:
             make_backend(BackendConfig(kind="http", endpoint="http://x"), 7),
             HttpBackend,
         )
-        with pytest.raises(ValueError, match="unknown backend kind"):
-            make_backend(BackendConfig(kind="quantum"), 7)
+        with pytest.raises(ValueError, match="kind must be 'mock' or 'http'"):
+            BackendConfig(kind="quantum")
 
     def test_http_requires_endpoint(self):
         with pytest.raises(ValueError, match="requires an endpoint"):
