@@ -83,7 +83,7 @@ class AppContext:
             service_name=d["service_name"],
             today=d["today"],
             time=d["time"],
-            records=list(d.get("records", [])),
+            records=list(d["records"]),
         )
 
 

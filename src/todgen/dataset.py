@@ -76,7 +76,7 @@ class Datapoint:
     def from_dict(cls, d: dict) -> "Datapoint":
         contexts = {
             c["service_name"]: AppContext.from_dict(c)
-            for c in d.get("contexts", [])
+            for c in d["contexts"]
         }
         return cls(
             id=d["id"],

@@ -172,6 +172,7 @@ def _is_loopback(host: str) -> bool:
 
 # redirect statuses; _read_answer returns them as they are and follows none
 _REDIRECTS = (301, 302, 303, 307, 308)
+RETRY_AFTER_CAP = 60.0  # seconds: the longest wait a Retry-After sets
 
 
 class HttpBackend(Backend):
@@ -215,8 +216,9 @@ class HttpBackend(Backend):
     Backoff ``k`` of a retry waits ``backoff * k`` seconds times a factor
     drawn uniformly between 0.5 and 1.5, so retries of dialogs that failed
     together spread out while the mean wait stays the same; a ``Retry-After``
-    in seconds is waited exactly. The factor comes from the backend's own
-    ``random.Random``, never from the pipeline's RNG.
+    in seconds is waited exactly, up to ``RETRY_AFTER_CAP`` (60) seconds. The
+    factor comes from the backend's own ``random.Random``, never from the
+    pipeline's RNG.
 
     The request is built and sent with the dialog's turn held (see
     :mod:`todgen.runner`), so it is on the wire before another dialog runs.
@@ -307,7 +309,8 @@ class HttpBackend(Backend):
                     try:
                         obj = json.loads(body)
                         content = obj["choices"][0]["message"]["content"]
-                    except (ValueError, TypeError, KeyError, IndexError) as e:
+                    except (ValueError, TypeError, KeyError, IndexError,
+                            RecursionError) as e:
                         raise BackendError(f"malformed response body: {e}") from e
                     if not isinstance(content, str):
                         raise BackendError(
@@ -517,12 +520,15 @@ def _readable(sock: socket.socket) -> bool:
 
 
 def _retry_after(header: Optional[str], default: float) -> float:
-    """Seconds to wait from a ``Retry-After`` header in its delay-seconds form;
-    ``default`` when the header is absent, an HTTP date or anything else.
-    Only ASCII digits count: ``str.isdigit`` also passes digits such as a
-    latin-1 superscript two, which ``float`` rejects."""
+    """Seconds to wait from a ``Retry-After`` header in its delay-seconds form,
+    at most ``RETRY_AFTER_CAP``; ``default`` when the header is absent, an
+    HTTP date or anything else. Only ASCII digits count: ``str.isdigit`` also
+    passes digits such as a latin-1 superscript two, which ``float``
+    rejects."""
     value = (header or "").strip()
-    return float(value) if value.isascii() and value.isdigit() else default
+    if value.isascii() and value.isdigit():
+        return min(float(value), RETRY_AFTER_CAP)
+    return default
 
 
 class ContentError(ValueError):

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional
 
@@ -64,17 +64,21 @@ class PlotError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Plot:
-    turns: list  # list[Turn], strictly alternating, first is User
+    turns: tuple  # tuple[Turn], strictly alternating, first is User
     services: tuple = ()
     intents: tuple = ()  # "service.intent" strings
     kind: str = "Single"
     phenomena: tuple = ()
     # per-system-turn (verbosity, mirroring) aligned with system turn order
-    default_styles: list = field(default_factory=list)
+    default_styles: tuple = ()
 
-    def validate(self) -> None:
+    def __post_init__(self):  # runs on every build, replace() included
+        for name in ("turns", "services", "intents", "phenomena"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "default_styles",
+                           tuple(tuple(s) for s in self.default_styles))
         if not self.turns:
             raise PlotError("empty plot")
         if self.turns[0].speaker != "User":
@@ -110,21 +114,20 @@ class Plot:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Plot":
+        """The plot :meth:`to_dict` wrote; a missing key raises ``KeyError``."""
         turns = []
         for line in d["turns"].splitlines():
             speaker, _, rest = line.partition("@: ")
             turns.append(Turn(speaker.lstrip("@"), parse_action_list(rest)))
-        labels = d.get("labels", {})
-        plot = cls(
+        labels = d["labels"]
+        return cls(
             turns=turns,
-            services=tuple(labels.get("services", ())),
-            intents=tuple(labels.get("intents", ())),
-            kind=labels.get("kind", "Single"),
-            phenomena=tuple(labels.get("phenomena", ())),
-            default_styles=[tuple(s) for s in d.get("default_styles", [])],
+            services=labels["services"],
+            intents=labels["intents"],
+            kind=labels["kind"],
+            phenomena=labels["phenomena"],
+            default_styles=d["default_styles"],
         )
-        plot.validate()
-        return plot
 
 
 def choose_referring_expression(
@@ -377,11 +380,9 @@ def build_single_plot(
         )
     if final_actions:
         turns.append(Turn("System", tuple(final_actions)))
-    plot = Plot(
+    return Plot(
         turns=turns, services=(service,), intents=(f"{service}.{intent_name}",)
     )
-    plot.validate()
-    return plot
 
 
 # ---------------------------------------------------------------------------
@@ -463,25 +464,27 @@ def merge_compound(a: Plot, b: Plot) -> Plot:
                       if q and q[0].speaker == "User"])
     turns.extend(qa)
     turns.extend(qb)
-    plot = Plot(
+    return Plot(
         turns=_normalize_alternation(turns),
         services=a.services + tuple(s for s in b.services if s not in a.services),
         intents=a.intents + b.intents,
         kind="Compound",
     )
-    plot.validate()
-    return plot
 
 
 def merge_compositional(
     outer: Plot,
+    inner: tuple[str, str],
     inner_action: Action,
     matched_slot: tuple[str, str],
     inner_lead_actions: tuple[Action, ...] = (),
 ) -> Plot:
     """Substitute the inner intent action for the outer intent's matched input
-    slot; any inner resolution actions lead the first system response."""
-    inner_result_slot, outer_input_slot = matched_slot
+    slot; any inner resolution actions lead the first system response. The
+    plot is labeled with the outer intent, then ``inner``, the inner intent's
+    (service, intent) pair."""
+    inner_service, inner_intent = inner
+    _, outer_input_slot = matched_slot
     initial = outer.turns[0]
     replaced = []
     hit = False
@@ -503,14 +506,12 @@ def merge_compositional(
                 break
         else:
             turns.append(Turn("System", inner_lead_actions))
-    plot = Plot(
+    return Plot(
         turns=_normalize_alternation(turns),
-        services=outer.services,
-        intents=outer.intents,
+        services=tuple(dict.fromkeys(outer.services + (inner_service,))),
+        intents=outer.intents + (f"{inner_service}.{inner_intent}",),
         kind="Compositional",
     )
-    plot.validate()
-    return plot
 
 
 # ---------------------------------------------------------------------------
@@ -652,16 +653,13 @@ def inject_phenomena(
             correction = Call("self_correction", (Arg(arg.keyword, said),))
             turns[i] = _with_action(
                 turns[i], j, Action(action.head, args, action.chain + (correction,)))
-    out = replace(
+    return replace(
         plot,
         turns=turns,
         # labels reflect what the turns contain: an ambiguous context can
         # force an index referral even when none was sampled
         phenomena=derive_phenomena(turns),
-        default_styles=list(plot.default_styles),
     )
-    out.validate()
-    return out
 
 
 def _rewrite_as_referral(action: Action, contexts: dict[str, AppContext]):
@@ -676,10 +674,7 @@ def _rewrite_as_referral(action: Action, contexts: dict[str, AppContext]):
         filters = [x for x in a.args if x.keyword and x.value is not None]
         if not filters:
             return None
-        try:
-            target = resolve_referral(Action(a.head, tuple(filters)), ctx)
-        except Exception:
-            return None
+        target = resolve_referral(Action(a.head, tuple(filters)), ctx)
         if not isinstance(target, dict):
             return None
         order_slot = filters[0].keyword
@@ -796,7 +791,7 @@ def assign_default_styles(
         if prev_user is not None and _mirroring_unsafe(prev_user, contexts):
             mirroring = "no"
         styles.append((verbosity, mirroring))
-    return replace(plot, turns=list(plot.turns), default_styles=styles)
+    return replace(plot, default_styles=styles)
 
 
 # ---------------------------------------------------------------------------
@@ -884,19 +879,10 @@ def build_plot(
             prefix=f"{outer_pair[0]}_", forced=spec.matched_slot[1:],
         )
         inner_action, lead = _build_inner_action(spec, schemas, contexts)
-        plot = merge_compositional(outer, inner_action, spec.matched_slot, lead)
-        plot = replace(
-            plot,
-            services=tuple(dict.fromkeys(
-                [outer_pair[0], spec.intents[1][0]]
-            )),
-            intents=(f"{outer_pair[0]}.{outer_pair[1]}",
-                     f"{spec.intents[1][0]}.{spec.intents[1][1]}"),
-        )
+        plot = merge_compositional(outer, spec.intents[1], inner_action,
+                                   spec.matched_slot, lead)
     plot = inject_phenomena(plot, spec.phenomena, rng, contexts, schemas)
-    plot = assign_default_styles(plot, schemas, contexts)
-    plot.validate()
-    return plot
+    return assign_default_styles(plot, schemas, contexts)
 
 
 def derive_phenomena(turns) -> tuple:

@@ -503,7 +503,7 @@ def test_criterion_6_default_style_fixture_suite():
         for name, text, services, contexts, expected in STYLE_CASES:
             plot = Plot(turns=_turns(text), services=tuple(services))
             styled = assign_default_styles(plot, SCHEMAS, contexts)
-            assert styled.default_styles == expected, (
+            assert styled.default_styles == tuple(expected), (
                 f"{name}: got {styled.default_styles}, want {expected}"
             )
 

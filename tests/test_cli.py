@@ -602,6 +602,27 @@ class TestStageChaining:
         assert payload["error"] == "DatasetError"
         assert f"{checkpoint}:2: malformed row" in payload["message"]
 
+    def test_plot_row_without_labels_fails_cleanly(self, runner, workdir):
+        """A plots.jsonl row whose plot lacks its labels is malformed, not
+        read as an unlabeled Single plot."""
+        base = ["--config", str(workdir / "config.yaml")]
+        for name in ("personas", "contexts", "plots"):
+            run(runner, [name] + base)
+        path = workdir / "out" / "plots.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[1])
+        del row["plot"]["labels"]
+        lines[1] = json.dumps(row) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        result = runner.invoke(main, ["realize"] + base,
+                               catch_exceptions=False)
+        assert result.exit_code == 1
+        payload = json.loads(result.output.strip().splitlines()[-1])
+        assert payload["stage"] == "realize"
+        assert payload["error"] == "DatasetError"
+        assert "plots.jsonl:2: malformed row" in payload["message"]
+        assert "'labels'" in payload["message"]
+
     def test_stats_uses_filtered_dataset_when_present(self, runner, workdir):
         base = ["--config", str(workdir / "config.yaml")]
         run(runner, ["run-all"] + base)

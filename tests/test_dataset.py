@@ -1,6 +1,7 @@
 """Dataset serialization, splitting, statistics, and label checking."""
 
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -70,7 +71,9 @@ class TestDatapoint:
 
     def test_check_labels_catches_tampering(self, corpus):
         dp = copy.deepcopy(corpus[0])
-        dp.plot.kind = "Compound" if dp.plot.kind != "Compound" else "Single"
+        dp.plot = dataclasses.replace(
+            dp.plot,
+            kind="Compound" if dp.plot.kind != "Compound" else "Single")
         with pytest.raises(DatasetError, match="kind"):
             dp.check_labels(SCHEMAS)
 
@@ -96,6 +99,25 @@ class TestSerialization:
         path.write_text('{"id": "x"}\n')
         with pytest.raises(DatasetError, match="bad.jsonl:1"):
             read_dataset(path)
+
+    @pytest.mark.parametrize("path", [
+        ("contexts",), ("contexts", 0, "records"), ("plot", "labels"),
+    ], ids=lambda path: "/".join(map(str, path)))
+    def test_row_missing_a_written_key_reports_location(self, corpus,
+                                                        tmp_path, path):
+        """Every key ``to_dict`` writes is read back; none has a default."""
+        dp = next(dp for dp in corpus if dp.contexts)
+        row = dp.to_dict()
+        *parents, key = path
+        owner = row
+        for parent in parents:
+            owner = owner[parent]
+        del owner[key]
+        source = tmp_path / "missing.jsonl"
+        write_dataset(corpus[:1], source)
+        source.write_text(source.read_text() + json.dumps(row) + "\n")
+        with pytest.raises(DatasetError, match=f"missing.jsonl:2: .*'{key}'"):
+            read_dataset(source)
 
     def test_blank_lines_skipped(self, corpus, tmp_path):
         path = tmp_path / "gap.jsonl"

@@ -142,7 +142,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             if self.bodies
             else {"choices": [{"message": {"content": "stub reply"}}]}
         )
-        data = json.dumps(body).encode()
+        data = body if isinstance(body, bytes) else json.dumps(body).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -208,13 +208,14 @@ class TestHttpBackend:
 
     @pytest.mark.parametrize("header, wait", [
         ("2", 2.0),                              # delay-seconds: honoured
+        ("10000000000", 60.0),                   # delay-seconds: capped
         (None, 0.25),                            # absent: policy backoff
         ("Wed, 21 Oct 2026 07:28:00 GMT", 0.25),  # HTTP date: policy backoff
         ("\xb2", 0.25),  # latin-1 superscript two: a digit, not ASCII
     ])
     def test_rate_limit_is_retried(self, stub_server, monkeypatch, header, wait):
-        """``Retry-After`` is waited exactly; the policy backoff is jittered
-        by a factor between 0.5 and 1.5."""
+        """``Retry-After`` is waited exactly, up to 60 seconds; the policy
+        backoff is jittered by a factor between 0.5 and 1.5."""
         _StubHandler.script = [429, 200]
         _StubHandler.retry_after = header
         sleeps = []  # (seconds, whether the dialog still held its turn)
@@ -228,7 +229,7 @@ class TestHttpBackend:
         assert len(_StubHandler.requests_seen) == 2
         [(slept, held)] = sleeps
         assert not held
-        if header == "2":
+        if header in ("2", "10000000000"):
             assert slept == wait
         else:
             assert 0.5 * wait <= slept <= 1.5 * wait
@@ -259,9 +260,11 @@ class TestHttpBackend:
         assert len(_StubHandler.requests_seen) == 1
 
     def test_malformed_body_raises(self, stub_server):
-        _StubHandler.bodies = [{"unexpected": "shape"}]
-        with pytest.raises(BackendError, match="malformed response body"):
-            http_backend(stub_server).complete(req())
+        # the second body nests past the recursion limit
+        for body in ({"unexpected": "shape"}, b"[" * 100_000):
+            _StubHandler.bodies = [body]
+            with pytest.raises(BackendError, match="malformed response body"):
+                http_backend(stub_server).complete(req())
 
     @pytest.mark.parametrize("content", [None, ["not", "text"]])
     def test_non_string_content_is_malformed_body(self, stub_server, content):
@@ -714,8 +717,19 @@ class TestTurnHandOver:
             time.sleep(0.05)
             events.append(("sent", current.dialog))
 
+        dialog_1_arrived = threading.Event()
+
+        def answer(handler, n, prompt):
+            # dialog 0's answer waits for dialog 1's request, so dialog 0
+            # cannot finish and run dialog 1 on its own pooled connection
+            if prompt == "dialog 1":
+                dialog_1_arrived.set()
+            elif prompt == "dialog 0":
+                dialog_1_arrived.wait(10)
+            _reply(handler, prompt)
+
         _on_send(monkeypatch, http.client.HTTPConnection.connect, slow_sent)
-        with keep_alive_server() as server:
+        with keep_alive_server(answer) as server:
             with closing(http_backend(server.url)) as backend:
                 current.dialog = "warm"
                 assert backend.complete(req(content="warm")) == "warm"

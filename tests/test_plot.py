@@ -1,6 +1,7 @@
 """Plot construction: slot-filling flow, merges, phenomena, referring
 expressions, database queries, and default styles."""
 
+import dataclasses
 import datetime as dt
 import itertools
 import json
@@ -269,7 +270,7 @@ class TestMergeCompound:
         merged = merge_compound(
             self._context_plot("check", 0), self._context_plot("check", 1)
         )
-        merged.validate()
+        assert dataclasses.replace(merged) == merged  # rebuilt and checked
         speakers = [t.speaker for t in merged.turns]
         assert speakers == ["User", "System"]
 
@@ -913,6 +914,8 @@ class TestPlotSerialization:
         assert back.kind == plot.kind
 
     def test_rebuilds_share_no_mutable_state(self):
+        """A plot is frozen and holds only tuples, so rebuilds of one row
+        cannot change each other."""
         plot = build_single_plot(
             movie_specimen(), ("movie", "purchase_tickets"), SCHEMAS, {},
             derive_rng(0), LLM, CFG,
@@ -920,10 +923,46 @@ class TestPlotSerialization:
         row = assign_default_styles(plot, SCHEMAS, {}).to_dict()
         first, second = Plot.from_dict(row), Plot.from_dict(row)
         assert first == second
-        first.turns.append(first.turns[0])
-        first.default_styles.append(("low", "yes"))
+        for field in dataclasses.fields(Plot):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(first, field.name, getattr(second, field.name))
+        for value in (first.turns, first.services, first.intents,
+                      first.phenomena, first.default_styles,
+                      *first.default_styles):
+            assert type(value) is tuple
         assert second == Plot.from_dict(row)
-        assert len(second.turns) == len(first.turns) - 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: dataclasses.replace(p, turns=p.turns[1:]),
+        lambda p: dataclasses.replace(p, turns=()),
+        lambda p: dataclasses.replace(p, turns=p.turns + p.turns[-1:]),
+        lambda p: Plot(turns=p.turns[:1] + p.turns[:1]),
+    ], ids=["system-first", "empty", "system-twice", "user-twice"])
+    def test_every_construction_is_checked(self, edit):
+        plot = build_single_plot(
+            movie_specimen(), ("movie", "purchase_tickets"), SCHEMAS, {},
+            derive_rng(0), LLM, CFG,
+        )
+        with pytest.raises(PlotError):
+            edit(plot)
+
+    @pytest.mark.parametrize("path", [
+        ("turns",), ("default_styles",), ("labels",), ("labels", "services"),
+        ("labels", "intents"), ("labels", "kind"), ("labels", "phenomena"),
+    ], ids="/".join)
+    def test_from_dict_needs_every_key_to_dict_writes(self, path):
+        plot = build_single_plot(
+            movie_specimen(), ("movie", "purchase_tickets"), SCHEMAS, {},
+            derive_rng(0), LLM, CFG,
+        )
+        row = assign_default_styles(plot, SCHEMAS, {}).to_dict()
+        *parents, key = path
+        owner = row
+        for parent in parents:
+            owner = owner[parent]
+        del owner[key]
+        with pytest.raises(KeyError, match=key):
+            Plot.from_dict(row)
 
     def test_brackets_only_for_multi_action_turns(self):
         spec = DialogSpecimen(
