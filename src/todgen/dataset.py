@@ -47,21 +47,15 @@ class Datapoint:
         self.dialog.validate_against(self.plot)
 
     def check_labels(self, schemas: SchemaSet) -> None:
-        """Stored labels must match labels recomputed from the plot."""
-        derived = derive_labels(self.plot, schemas)
-        stored = self.plot.labels
-        for key in ("kind",):
-            if derived[key] != stored[key]:
-                raise DatasetError(
-                    f"{self.id}: stored {key} {stored[key]!r} != derived "
-                    f"{derived[key]!r}"
-                )
-        for key in ("services", "phenomena"):
-            if set(derived[key]) != set(stored[key]):
-                raise DatasetError(
-                    f"{self.id}: stored {key} {stored[key]!r} != derived "
-                    f"{list(derived[key])!r}"
-                )
+        """Stored services must match those the schemas attribute to the
+        plot's initial actions (a plot reads its kind and phenomena off its
+        turns itself)."""
+        derived = derive_labels(self.plot, schemas)["services"]
+        if set(derived) != set(self.plot.services):
+            raise DatasetError(
+                f"{self.id}: stored services {list(self.plot.services)!r} != "
+                f"derived {list(derived)!r}"
+            )
 
     def to_dict(self) -> dict:
         return {

@@ -7,6 +7,8 @@ Grammar::
     arg    := IDENT '=' value | IDENT | value
     value  := STRING | INT | BOOL | action
 
+STRING is a JSON string literal.
+
 A bare identifier argument (no '=') denotes a slot name, e.g. ``check(time)``.
 An argument that is itself an action is positional, e.g.
 ``ask_confirm(get_alarms(name="Gym").delete(name))``.
@@ -15,6 +17,7 @@ An argument that is itself an action is positional, e.g.
 from __future__ import annotations
 
 import functools
+import json
 import re
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -127,6 +130,10 @@ class Turn:
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"-?[0-9]+")
 _WS_RE = re.compile(r"\s*")
+# strict=False reads rows printed before strings were JSON, which may hold
+# raw tabs
+_read_json = json.JSONDecoder(strict=False).raw_decode
+_write_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 class _Parser:
@@ -233,22 +240,11 @@ class _Parser:
         )
 
     def _string(self) -> str:
-        self._expect('"')
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                raise MRSyntaxError("unterminated string", self.pos, ('"',))
-            ch = self.text[self.pos]
-            self.pos += 1
-            if ch == '"':
-                return "".join(out)
-            if ch == "\\":
-                if self.pos >= len(self.text):
-                    raise MRSyntaxError("dangling escape", self.pos, ('"', "\\\\"))
-                out.append(self.text[self.pos])
-                self.pos += 1
-            else:
-                out.append(ch)
+        try:
+            value, self.pos = _read_json(self.text, self.pos)
+        except json.JSONDecodeError as e:
+            raise MRSyntaxError(e.msg, e.pos, ("STRING",)) from None
+        return value
 
     def _int(self) -> int:
         self._skip_ws()
@@ -300,8 +296,7 @@ def _print_value(v: Value) -> str:
         return str(v)
     if isinstance(v, Action):
         return print_action(v)
-    escaped = v.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+    return _write_json(v)
 
 
 def _print_arg(a: Arg) -> str:

@@ -7,8 +7,8 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, replace
-from itertools import combinations
+from dataclasses import dataclass, field, replace
+from itertools import combinations, product
 from typing import Optional
 
 from .config import PipelineConfig
@@ -64,18 +64,23 @@ class PlotError(ValueError):
     pass
 
 
+# every (verbosity, mirroring) a system turn's default style can take
+STYLES = tuple(product(("low", "mid", "high"), ("yes", "no")))
+
+
 @dataclass(frozen=True)
 class Plot:
     turns: tuple  # tuple[Turn], strictly alternating, first is User
     services: tuple = ()
     intents: tuple = ()  # "service.intent" strings
-    kind: str = "Single"
-    phenomena: tuple = ()
     # per-system-turn (verbosity, mirroring) aligned with system turn order
     default_styles: tuple = ()
+    # read off the turns
+    kind: str = field(init=False)
+    phenomena: tuple = field(init=False)
 
     def __post_init__(self):  # runs on every build, replace() included
-        for name in ("turns", "services", "intents", "phenomena"):
+        for name in ("turns", "services", "intents"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "default_styles",
                            tuple(tuple(s) for s in self.default_styles))
@@ -86,6 +91,22 @@ class Plot:
         for prev, cur in zip(self.turns, self.turns[1:]):
             if prev.speaker == cur.speaker:
                 raise PlotError(f"speakers do not alternate at {cur}")
+        styles = self.default_styles
+        if styles and len(styles) != len(self.system_turns):
+            raise PlotError(f"{len(styles)} default styles for "
+                            f"{len(self.system_turns)} system turns")
+        if not set(styles).issubset(STYLES):
+            raise PlotError(f"default styles {styles} are not all "
+                            f"low/mid/high x yes/no pairs")
+        initial = self.turns[0].actions
+        if len(initial) > 1:
+            kind = "Compound"
+        elif any(isinstance(a.value, Action) for a in initial[0].args):
+            kind = "Compositional"
+        else:
+            kind = "Single"
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "phenomena", derive_phenomena(self.turns))
 
     @property
     def system_turns(self) -> list:
@@ -114,20 +135,26 @@ class Plot:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Plot":
-        """The plot :meth:`to_dict` wrote; a missing key raises ``KeyError``."""
+        """The plot :meth:`to_dict` wrote; a missing key raises ``KeyError``
+        and a stored kind or phenomena the turns do not show, ``PlotError``."""
         turns = []
-        for line in d["turns"].splitlines():
+        # MR strings are JSON, which leaves \r, \x85, \u2028... unescaped
+        for line in d["turns"].split("\n"):
             speaker, _, rest = line.partition("@: ")
             turns.append(Turn(speaker.lstrip("@"), parse_action_list(rest)))
         labels = d["labels"]
-        return cls(
+        plot = cls(
             turns=turns,
             services=labels["services"],
             intents=labels["intents"],
-            kind=labels["kind"],
-            phenomena=labels["phenomena"],
             default_styles=d["default_styles"],
         )
+        derived = plot.labels
+        for key in ("kind", "phenomena"):
+            if labels[key] != derived[key]:
+                raise PlotError(f"stored {key} {labels[key]!r} != "
+                                f"{derived[key]!r} read off the turns")
+        return plot
 
 
 def choose_referring_expression(
@@ -468,7 +495,6 @@ def merge_compound(a: Plot, b: Plot) -> Plot:
         turns=_normalize_alternation(turns),
         services=a.services + tuple(s for s in b.services if s not in a.services),
         intents=a.intents + b.intents,
-        kind="Compound",
     )
 
 
@@ -510,7 +536,6 @@ def merge_compositional(
         turns=_normalize_alternation(turns),
         services=tuple(dict.fromkeys(outer.services + (inner_service,))),
         intents=outer.intents + (f"{inner_service}.{inner_intent}",),
-        kind="Compositional",
     )
 
 
@@ -596,8 +621,9 @@ def inject_phenomena(
     contexts: dict[str, AppContext],
     schemas: SchemaSet,
 ) -> Plot:
-    """Add self-correction and complex-referral surface forms to user turns
-    and label the plot with the phenomena its turns then show."""
+    """Add self-correction and complex-referral surface forms to user turns.
+    The plot's phenomena are what its turns then show: an ambiguous context
+    can force an index referral even when none was sampled."""
     turns = list(plot.turns)
     user = [i for i, turn in enumerate(turns) if turn.speaker == "User"]
 
@@ -653,13 +679,7 @@ def inject_phenomena(
             correction = Call("self_correction", (Arg(arg.keyword, said),))
             turns[i] = _with_action(
                 turns[i], j, Action(action.head, args, action.chain + (correction,)))
-    return replace(
-        plot,
-        turns=turns,
-        # labels reflect what the turns contain: an ambiguous context can
-        # force an index referral even when none was sampled
-        phenomena=derive_phenomena(turns),
-    )
+    return replace(plot, turns=turns)
 
 
 def _rewrite_as_referral(action: Action, contexts: dict[str, AppContext]):
@@ -908,16 +928,8 @@ def derive_phenomena(turns) -> tuple:
 
 
 def derive_labels(plot: Plot, schemas: SchemaSet) -> dict:
-    """Recompute labels from the plot text (consistency oracle)."""
-    initial = plot.turns[0]
-    if len(initial.actions) > 1:
-        kind = "Compound"
-    elif any(isinstance(a.value, Action) for a in initial.actions[0].args):
-        kind = "Compositional"
-    else:
-        kind = "Single"
-    phenomena = set(derive_phenomena(plot.turns))
-
+    """Services and intents attributed to the initial user turn's actions
+    through the schemas (consistency oracle)."""
     def action_service_intent(action: Action):
         if action.head.startswith("get_") and schemas.has_service(
             action.head[len("get_"):]
@@ -937,7 +949,7 @@ def derive_labels(plot: Plot, schemas: SchemaSet) -> dict:
         raise PlotError(f"cannot attribute action {action.head!r} to a service")
 
     pairs = []
-    for action in initial.actions:
+    for action in plot.turns[0].actions:
         pairs.append(action_service_intent(action))
         for arg in action.args:
             if isinstance(arg.value, Action):
@@ -947,9 +959,4 @@ def derive_labels(plot: Plot, schemas: SchemaSet) -> dict:
                     pass
     services = tuple(dict.fromkeys(s for s, _ in pairs))
     intents = tuple(f"{s}.{i}" for s, i in pairs)
-    return {
-        "kind": kind,
-        "phenomena": tuple(sorted(phenomena)),
-        "services": services,
-        "intents": intents,
-    }
+    return {"services": services, "intents": intents}

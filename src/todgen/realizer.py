@@ -20,7 +20,7 @@ from .llm import (
 )
 from .mr import Action, Call, Turn, collect_literals, print_action
 from .persona import Persona
-from .plot import Plot
+from .plot import STYLES, Plot
 
 __all__ = [
     "SIX_KEYS",
@@ -36,15 +36,6 @@ __all__ = [
     "style_key",
 ]
 
-SIX_KEYS = (
-    "verbosity_low mirroring",
-    "verbosity_low no_mirroring",
-    "verbosity_mid mirroring",
-    "verbosity_mid no_mirroring",
-    "verbosity_high mirroring",
-    "verbosity_high no_mirroring",
-)
-
 _SEEDED_EXCHANGE = (
     'user: {"actions": ["hello()"], "message": "Hi."}',
     'assistant: {"actions": ["offer_help()"], "message": "Hello, how can I help?"}',
@@ -55,14 +46,21 @@ class RealizerError(ValueError):
     pass
 
 
+class VariantsError(RealizerError, ContentError):
+    """Variants that break the six-style rule; a new completion may not."""
+
+
 class TemplateError(ValueError):
     pass
 
 
 def style_key(verbosity: str, mirroring: str) -> str:
     """('high', 'yes') -> 'verbosity_high mirroring'."""
-    suffix = "mirroring" if mirroring in ("yes", "mirroring") else "no_mirroring"
+    suffix = "mirroring" if mirroring == "yes" else "no_mirroring"
     return f"verbosity_{verbosity} {suffix}"
+
+
+SIX_KEYS = tuple(style_key(*style) for style in STYLES)
 
 
 @dataclass
@@ -71,14 +69,16 @@ class StyledResponse:
     default_key: str
 
     def __post_init__(self):
-        missing = [k for k in SIX_KEYS if not self.variants.get(k)]
-        if missing or set(self.variants) - set(SIX_KEYS):
-            raise RealizerError(
-                f"response must have exactly the six style keys, nonempty; "
-                f"got {sorted(self.variants)}"
-            )
         if self.default_key not in SIX_KEYS:
             raise RealizerError(f"bad default key {self.default_key!r}")
+        blank = [k for k, v in self.variants.items()
+                 if not (isinstance(v, str) and v.strip())]
+        if blank or set(self.variants) != set(SIX_KEYS):
+            raise VariantsError(
+                f"response must have exactly the six style keys, each a "
+                f"non-blank string; got {sorted(self.variants)}, blank or "
+                f"not a string: {blank}"
+            )
 
     @property
     def default_utterance(self) -> str:
@@ -268,13 +268,8 @@ def realize_system_turn(
     }
 
     def parse(completion: str) -> StyledResponse:
-        variants = parse_json_object(completion)
-        if set(variants) != set(SIX_KEYS) or not all(
-            isinstance(v, str) and v.strip() for v in variants.values()
-        ):
-            raise ContentError(
-                f"completion keys {sorted(variants)} != six style keys")
-        return StyledResponse(variants=variants,
+        # StyledResponse raises a retried ContentError for bad variants
+        return StyledResponse(variants=parse_json_object(completion),
                               default_key=style_key(*default_style))
 
     return complete_validated(llm, config, "system_turn", prompt, metadata,

@@ -623,6 +623,63 @@ class TestStageChaining:
         assert "plots.jsonl:2: malformed row" in payload["message"]
         assert "'labels'" in payload["message"]
 
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda p: p["labels"].update(
+            kind="Compound" if p["labels"]["kind"] != "Compound" else "Single"),
+         "stored kind"),
+        (lambda p: p["labels"].update(
+            phenomena=[] if p["labels"]["phenomena"] else ["self_correction"]),
+         "stored phenomena"),
+        (lambda p: p["default_styles"].pop(),
+         "default styles for"),
+    ], ids=["kind", "phenomena", "default-styles"])
+    def test_plot_row_that_its_turns_contradict_fails_cleanly(
+            self, runner, workdir, edit, problem):
+        """Stored labels and default styles are checked against the turns
+        on read, so a tampered row stops ``realize`` at its line."""
+        base = ["--config", str(workdir / "config.yaml")]
+        for name in ("personas", "contexts", "plots"):
+            run(runner, [name] + base)
+        path = workdir / "out" / "plots.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        # a row whose plot has two system turns, so one style is left
+        index = next(i for i, line in enumerate(lines)
+                     if len(json.loads(line)["plot"]["default_styles"]) > 1)
+        row = json.loads(lines[index])
+        edit(row["plot"])
+        lines[index] = json.dumps(row) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        result = runner.invoke(main, ["realize"] + base,
+                               catch_exceptions=False)
+        assert result.exit_code == 1
+        payload = json.loads(result.output.strip().splitlines()[-1])
+        assert payload["error"] == "DatasetError"
+        assert f"plots.jsonl:{index + 1}: malformed row" in payload["message"]
+        assert problem in payload["message"]
+
+    @pytest.mark.parametrize("variant", [5, "   "], ids=["number", "blank"])
+    def test_dialog_row_with_a_bad_variant_fails_cleanly(self, runner,
+                                                         workdir, variant):
+        """Each style variant is a non-blank string; a row that breaks
+        that is malformed, not a ``TypeError`` in a QC check or a kept
+        blank response."""
+        base = ["--config", str(workdir / "config.yaml")]
+        for stage in ("personas", "contexts", "plots", "realize"):
+            run(runner, [stage] + base)
+        dialogs = workdir / "out" / "dialogs.jsonl"
+        lines = dialogs.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[1])
+        response = row["dialog"]["turns"][1]
+        response["variants"][response["default_key"]] = variant
+        lines[1] = json.dumps(row) + "\n"
+        dialogs.write_text("".join(lines), encoding="utf-8")
+        result = runner.invoke(main, ["qc"] + base, catch_exceptions=False)
+        assert result.exit_code == 1
+        payload = json.loads(result.output.strip().splitlines()[-1])
+        assert payload["error"] == "DatasetError"
+        assert "dialogs.jsonl:2: malformed datapoint" in payload["message"]
+        assert "non-blank string" in payload["message"]
+
     def test_stats_uses_filtered_dataset_when_present(self, runner, workdir):
         base = ["--config", str(workdir / "config.yaml")]
         run(runner, ["run-all"] + base)

@@ -72,9 +72,8 @@ class TestDatapoint:
     def test_check_labels_catches_tampering(self, corpus):
         dp = copy.deepcopy(corpus[0])
         dp.plot = dataclasses.replace(
-            dp.plot,
-            kind="Compound" if dp.plot.kind != "Compound" else "Single")
-        with pytest.raises(DatasetError, match="kind"):
+            dp.plot, services=dp.plot.services + ("tampered",))
+        with pytest.raises(DatasetError, match="services"):
             dp.check_labels(SCHEMAS)
 
 

@@ -124,7 +124,7 @@ _idents = st.builds(
 )
 _literals = st.one_of(
     st.text(
-        alphabet=st.characters(blacklist_categories=("Cs", "Cc")), max_size=12
+        alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12
     ),
     st.integers(-1000, 1000),
     st.booleans(),
@@ -154,7 +154,9 @@ def _actions(depth):
 @settings(max_examples=1000, deadline=None)
 @given(_actions(2))
 def test_print_parse_round_trip(action):
-    assert parse_action(print_action(action)) == action
+    text = print_action(action)
+    assert "\n" not in text  # a stored plot splits its turns at "\n"
+    assert parse_action(text) == action
 
 
 @settings(max_examples=50, deadline=None)

@@ -815,7 +815,7 @@ class TestDeriveLabels:
                 "@System@: request_information(date)"
             )),
         )
-        assert derive_labels(single, SCHEMAS)["kind"] == "Single"
+        assert single.kind == "Single"
         assert derive_labels(single, SCHEMAS)["services"] == ("movie",)
 
         comp = Plot(
@@ -825,8 +825,8 @@ class TestDeriveLabels:
                 "@System@: weather_inform_result(conditions=\"sunny\")"
             )),
         )
+        assert comp.kind == "Compositional"
         labels = derive_labels(comp, SCHEMAS)
-        assert labels["kind"] == "Compositional"
         assert set(labels["services"]) == {"weather", "calendar_events"}
 
     def test_ambiguous_unprefixed_intent_raises(self):
@@ -855,9 +855,8 @@ class TestDeriveLabels:
             )
             plot = build_plot(spec, SCHEMAS, contexts, rng, LLM, CFG)
             labels = derive_labels(plot, SCHEMAS)
-            assert labels["kind"] == plot.kind
-            assert set(labels["phenomena"]) == set(plot.phenomena)
             assert set(labels["services"]) == set(plot.services)
+            assert plot.kind == spec.kind
 
 
 class TestDerivePhenomena:
@@ -976,3 +975,62 @@ class TestPlotSerialization:
         )
         for line in plot.to_text().splitlines():
             assert not line.partition(": ")[2].startswith("[")
+
+    def test_values_with_line_breaks_round_trip(self):
+        """MR strings are JSON literals and a row splits its turns at
+        ``\\n`` only, so no value can break a turn line."""
+        odd = "a\nb\rc\td\x85e\u2028f\"g\\h"
+        plot = Plot(
+            turns=[
+                Turn("User", (Action("create", (Arg("name", odd),)),)),
+                Turn("System", (Action("notify_done", (
+                    Arg(None, Action("create", (Arg("name", odd),))),)),)),
+            ],
+            services=("alarms",), intents=("alarms.create",),
+            default_styles=[("low", "yes")],
+        )
+        back = Plot.from_dict(json.loads(json.dumps(plot.to_dict())))
+        assert back == plot
+        assert back.turns[0].actions[0].arg_value("name") == odd
+
+    def test_row_with_a_raw_tab_in_a_string_reads(self):
+        """Rows printed before strings were JSON may hold raw tabs."""
+        row = {
+            "turns": '@User@: create(name="Gym\tclass")\n'
+                     '@System@: notify_done(create(name="Gym\tclass"))',
+            "default_styles": [["low", "yes"]],
+            "labels": {"services": ["alarms"], "intents": ["alarms.create"],
+                       "kind": "Single", "phenomena": []},
+        }
+        plot = Plot.from_dict(row)
+        assert plot.turns[0].actions[0].arg_value("name") == "Gym\tclass"
+
+    @pytest.mark.parametrize("key, stored", [
+        ("kind", "Compound"), ("phenomena", ["self_correction"]),
+    ])
+    def test_from_dict_rejects_labels_the_turns_contradict(self, key, stored):
+        plot = build_single_plot(
+            movie_specimen(), ("movie", "purchase_tickets"), SCHEMAS, {},
+            derive_rng(0), LLM, CFG,
+        )
+        row = assign_default_styles(plot, SCHEMAS, {}).to_dict()
+        row["labels"][key] = stored
+        with pytest.raises(PlotError, match=f"stored {key}"):
+            Plot.from_dict(row)
+
+    @pytest.mark.parametrize("styles, problem", [
+        (lambda s: s[:-1], "default styles for"),
+        (lambda s: s + s[-1:], "default styles for"),
+        (lambda s: [("loud", "yes")] + s[1:], "low/mid/high x yes/no"),
+        (lambda s: [("low", "mirroring")] + s[1:], "low/mid/high x yes/no"),
+    ], ids=["one-short", "one-over", "bad-verbosity", "bad-mirroring"])
+    def test_default_styles_fit_the_system_turns(self, styles, problem):
+        plot = build_single_plot(
+            movie_specimen(), ("movie", "purchase_tickets"), SCHEMAS, {},
+            derive_rng(0), LLM, CFG,
+        )
+        styled = assign_default_styles(plot, SCHEMAS, {})
+        assert len(styled.default_styles) > 1
+        with pytest.raises(PlotError, match=problem):
+            dataclasses.replace(styled,
+                                default_styles=styles(list(styled.default_styles)))

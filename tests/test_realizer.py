@@ -155,6 +155,8 @@ class TestStyledResponse:
         for bad in (
             {k: good[k] for k in SIX_KEYS[:-1]},               # missing key
             {**good, SIX_KEYS[2]: ""},                          # empty value
+            {**good, SIX_KEYS[2]: "   "},                       # blank value
+            {**good, SIX_KEYS[2]: 5},                           # not a string
             {**good, "verbosity_extreme mirroring": "x"},       # extra key
         ):
             with pytest.raises(RealizerError):
@@ -165,7 +167,6 @@ class TestStyledResponse:
     def test_style_key_mapping(self):
         assert style_key("high", "yes") == "verbosity_high mirroring"
         assert style_key("low", "no") == "verbosity_low no_mirroring"
-        assert style_key("mid", "mirroring") == "verbosity_mid mirroring"
 
 
 class TestBuildHistory:
@@ -300,6 +301,29 @@ class TestRealizeSystemTurn:
                 ("low", "no"), "", backend, CFG
             )
         assert backend.calls == CFG.content_retries
+
+    def test_non_string_variant_is_retried(self):
+        plot = ticket_plot()
+        bad = json.dumps({k: 5 if i == 2 else f"words {i}"
+                          for i, k in enumerate(SIX_KEYS)})
+        backend = ScriptedBackend([bad])
+        with pytest.raises(RealizerError, match="non-blank string"):
+            realize_system_turn(
+                plot.turns[1], printed(plot.turns[1]), "", "movie",
+                ("low", "no"), "", backend, CFG
+            )
+        assert backend.calls == CFG.content_retries
+
+    def test_bad_default_style_is_not_retried(self):
+        plot = ticket_plot()
+        valid = json.dumps({k: f"words {i}" for i, k in enumerate(SIX_KEYS)})
+        backend = ScriptedBackend([valid])
+        with pytest.raises(RealizerError, match="bad default key"):
+            realize_system_turn(
+                plot.turns[1], printed(plot.turns[1]), "", "movie",
+                ("loud", "no"), "", backend, CFG
+            )
+        assert backend.calls == 1
 
     def test_malformed_then_valid_completion_recovers(self):
         plot = ticket_plot()
