@@ -12,7 +12,7 @@ from typing import Callable, Union
 
 from .context import AppContext
 from .plot import Plot, derive_labels
-from .realizer import SIX_KEYS, DialogRecord, StyledResponse
+from .realizer import SIX_KEYS, DialogRecord, StyledResponse, style_key
 from .rng import derive_rng
 from .schema import SchemaSet
 
@@ -202,11 +202,9 @@ def compute_stats(dps: list) -> dict:
             elif isinstance(realized, StyledResponse):
                 style_shares[realized.default_key] += 1
                 word_hist[word_count(realized.default_utterance)] += 1
-                for level in ("low", "mid", "high"):
-                    key = f"verbosity_{level} no_mirroring"
-                    verbosity_words[level].append(
-                        word_count(realized.variants[key])
-                    )
+                for level, words in verbosity_words.items():
+                    words.append(word_count(
+                        realized.variants[style_key(level, "no")]))
 
     n = len(dps) or 1
     n_system = sum(style_shares.values()) or 1
@@ -229,10 +227,8 @@ def compute_stats(dps: list) -> dict:
             k: style_shares[k] / n_system for k in SIX_KEYS if style_shares[k]
         },
         "default_verbosity_shares": {
-            level: sum(
-                style_shares[k] for k in SIX_KEYS if f"verbosity_{level} " in k
-            )
-            / n_system
+            level: sum(style_shares[style_key(level, mirroring)]
+                       for mirroring in ("yes", "no")) / n_system
             for level in ("low", "mid", "high")
         },
         "mean_words_per_verbosity": {

@@ -625,14 +625,10 @@ class MockBackend(Backend):
         return random.Random(int.from_bytes(digest[:8], "big"))
 
     def _complete(self, req: CompletionRequest) -> str:
-        rng = self._rng(req)
-        meta = req.metadata or {}
-        handler = _MOCK_HANDLERS.get(req.tag.split(":")[0], _mock_fallback)
-        return handler(rng, meta, req)
-
-
-def _mock_fallback(rng, meta, req) -> str:
-    return "OK."
+        handler = _MOCK_HANDLERS.get(req.tag)
+        if handler is None:
+            raise BackendError(f"mock backend has no answer for tag {req.tag!r}")
+        return handler(self._rng(req), req.metadata or {}, req)
 
 
 def _mock_persona_details(rng, meta, req) -> str:

@@ -12,6 +12,10 @@ STRING is a JSON string literal.
 A bare identifier argument (no '=') denotes a slot name, e.g. ``check(time)``.
 An argument that is itself an action is positional, e.g.
 ``ask_confirm(get_alarms(name="Gym").delete(name))``.
+
+This module owns the forms plots use: the context getter ``get_<service>``,
+its selectors ``ordered_by`` and ``index``, and the ``self_correction``
+chain call. Other modules build and read them through its helpers only.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 __all__ = [
@@ -34,9 +38,19 @@ __all__ = [
     "parse_action_list",
     "print_action",
     "print_action_list",
+    "CORRECTION",
+    "INDEX",
+    "ORDERED_BY",
+    "SELECTORS",
+    "getter_head",
+    "getter_service",
     "matching_records",
     "order_records",
+    "referral_filters",
+    "select_records",
+    "index_referral",
     "resolve_referral",
+    "split_correction",
     "apply_self_correction",
     "collect_literals",
 ]
@@ -70,8 +84,28 @@ class Arg:
             raise ValueError("argument needs a keyword or a value")
 
 
+class _HasArgs:
+    """Keyword-arg lookup and replacement for an action or a chain call."""
+
+    args: tuple[Arg, ...]
+
+    def arg_value(self, keyword: str) -> Optional[Value]:
+        for a in self.args:
+            if a.keyword == keyword:
+                return a.value
+        return None
+
+    def has_arg(self, keyword: str) -> bool:
+        return any(a.keyword == keyword for a in self.args)
+
+    def replace_arg(self, keyword: str, value: Value):
+        return replace(self, args=tuple(
+            Arg(a.keyword, value) if a.keyword == keyword else a
+            for a in self.args))
+
+
 @dataclass(frozen=True)
-class Call:
+class Call(_HasArgs):
     name: str
     args: tuple[Arg, ...] = ()
 
@@ -85,7 +119,7 @@ Segment = Union[Call, FieldAccess]
 
 
 @dataclass(frozen=True)
-class Action:
+class Action(_HasArgs):
     head: str
     args: tuple[Arg, ...] = ()
     chain: tuple[Segment, ...] = ()
@@ -96,21 +130,6 @@ class Action:
         keywords = [a.keyword for a in self.args if a.keyword is not None]
         if len(keywords) != len(set(keywords)):
             raise ValueError(f"duplicate keyword in args of {self.head!r}")
-
-    def arg_value(self, keyword: str) -> Optional[Value]:
-        for a in self.args:
-            if a.keyword == keyword:
-                return a.value
-        return None
-
-    def has_arg(self, keyword: str) -> bool:
-        return any(a.keyword == keyword for a in self.args)
-
-    def replace_arg(self, keyword: str, value: Value) -> "Action":
-        new_args = tuple(
-            Arg(a.keyword, value) if a.keyword == keyword else a for a in self.args
-        )
-        return Action(self.head, new_args, self.chain)
 
 
 @dataclass(frozen=True)
@@ -324,7 +343,21 @@ def print_action_list(actions: tuple[Action, ...]) -> str:
     return "[" + ", ".join(print_action(a) for a in actions) + "]"
 
 
-_SELECTOR_KEYS = ("ordered_by", "index")
+# the getter args that pick among the records the other args match
+ORDERED_BY, INDEX = SELECTORS = ("ordered_by", "index")
+# the chain call with which a user restates values they misspoke
+CORRECTION = "self_correction"
+_GETTER = "get_"
+
+
+def getter_head(service: str) -> str:
+    """The head of the action that reads ``service``'s app context."""
+    return _GETTER + service
+
+
+def getter_service(a: Action) -> Optional[str]:
+    """The service a getter action reads; None for any other action."""
+    return a.head[len(_GETTER):] if a.head.startswith(_GETTER) else None
 
 
 def _is_check_call(seg: Segment) -> bool:
@@ -346,33 +379,48 @@ def order_records(records: list, slot: str) -> list:
     return sorted(records, key=lambda r: str(r.get(slot)))
 
 
-def resolve_referral(a: Action, ctx) -> Union[dict, list, Value]:
-    """Evaluate a context-getter action over an app context.
+def referral_filters(a: Action) -> list:
+    """A getter's ``(slot, value)`` filters: its keyword args that have a
+    value, the selectors aside (a bare slot name does not filter)."""
+    return [(x.keyword, x.value) for x in a.args
+            if x.value is not None and x.keyword not in (None, *SELECTORS)]
 
-    Selection: slot filters narrow the record list, ``ordered_by`` sorts
-    ascending by the named slot (stable: ties keep insertion order) and
-    ``index`` picks 0-based. Chained ``check(slot)`` calls or field accesses
-    project a slot value from the unique selected record.
-    """
-    if not a.head.startswith("get_"):
-        raise MRResolutionError(f"{a.head!r} is not a context getter")
-    records = matching_records(ctx.records, [
-        (arg.keyword, arg.value) for arg in a.args
-        if arg.keyword is not None and arg.keyword not in _SELECTOR_KEYS])
-    ordered_by = a.arg_value("ordered_by")
+
+def select_records(a: Action, records: list) -> list:
+    """The records a getter picks: its filters narrow ``records``,
+    ``ordered_by`` sorts them by the named slot and ``index`` picks one,
+    0-based."""
+    records = matching_records(records, referral_filters(a))
+    ordered_by = a.arg_value(ORDERED_BY)
     if ordered_by is not None:
         if records and ordered_by not in records[0]:
             raise MRResolutionError(f"unknown slot {ordered_by!r} in ordered_by")
         records = order_records(records, ordered_by)
-    index = a.arg_value("index")
+    index = a.arg_value(INDEX)
     if index is not None:
         if not 0 <= index < len(records):
             raise MRResolutionError(
                 f"index {index} out of range for {len(records)} record(s)"
             )
         records = [records[index]]
+    return records
 
-    current: Union[list, dict] = records
+
+def index_referral(records: list, target: dict, slot: str) -> tuple[Arg, Arg]:
+    """The selector args that pick ``target`` out of ``records`` sorted by
+    ``slot``."""
+    ordered = order_records(records, slot)
+    return Arg(ORDERED_BY, slot), Arg(INDEX, ordered.index(target))
+
+
+def resolve_referral(a: Action, ctx) -> Union[dict, list, Value]:
+    """Evaluate a context-getter action over an app context: the records
+    :func:`select_records` picks, projected by the chain. Chained
+    ``check(slot)`` calls or field accesses project a slot value from the
+    unique selected record."""
+    if getter_service(a) is None:
+        raise MRResolutionError(f"{a.head!r} is not a context getter")
+    current = select_records(a, ctx.records)
 
     def _single() -> dict:
         if len(current) == 0:
@@ -399,49 +447,37 @@ def resolve_referral(a: Action, ctx) -> Union[dict, list, Value]:
             return record[slots[0]]
         # operation segment (delete/modify/...): referral resolves to the target
         return _single()
-    if len(current) == 1:
-        return current[0]
-    return current
+    return current[0] if len(current) == 1 else current
+
+
+def split_correction(a: Action) -> tuple[Action, Optional[Call]]:
+    """``a`` without its ``self_correction`` chain call, wherever it is, and
+    that call (None if ``a`` has none)."""
+    for i, seg in enumerate(a.chain):
+        if isinstance(seg, Call) and seg.name == CORRECTION:
+            return Action(a.head, a.args, a.chain[:i] + a.chain[i + 1:]), seg
+    return a, None
 
 
 def apply_self_correction(a: Action) -> Action:
-    """Collapse a trailing ``.self_correction(slot=new)`` into the head args."""
-    if not a.chain or not (
-        isinstance(a.chain[-1], Call) and a.chain[-1].name == "self_correction"
-    ):
+    """Collapse a trailing ``.self_correction(slot=new)`` into the args it
+    restates: the head's, else the first chain call's with that slot."""
+    corrected, correction = split_correction(a)
+    if correction is None or a.chain[-1] is not correction:
         raise ValueError("action does not end in a self_correction segment")
-    corrected = Action(a.head, a.args, a.chain[:-1])
-    for override in a.chain[-1].args:
-        if override.keyword is None:
+    for override in correction.args:
+        keyword = override.keyword
+        if keyword is None:
             raise ValueError("self_correction overrides must be keyword=value")
-        if corrected.has_arg(override.keyword):
-            corrected = corrected.replace_arg(override.keyword, override.value)
+        if corrected.has_arg(keyword):
+            corrected = corrected.replace_arg(keyword, override.value)
             continue
-        # the corrected value may live in a chain call (e.g. modify args)
-        chain = []
-        hit = False
-        for seg in corrected.chain:
-            if isinstance(seg, Call) and not hit and any(
-                x.keyword == override.keyword for x in seg.args
-            ):
-                chain.append(
-                    Call(
-                        seg.name,
-                        tuple(
-                            Arg(x.keyword, override.value)
-                            if x.keyword == override.keyword
-                            else x
-                            for x in seg.args
-                        ),
-                    )
-                )
-                hit = True
-            else:
-                chain.append(seg)
-        if not hit:
-            raise ValueError(
-                f"self_correction keyword {override.keyword!r} not in action args"
-            )
+        chain = list(corrected.chain)
+        hit = next((i for i, seg in enumerate(chain)
+                    if isinstance(seg, Call) and seg.has_arg(keyword)), None)
+        if hit is None:
+            raise ValueError(f"self_correction keyword {keyword!r} not in action args")
+        chain[hit] = chain[hit].replace_arg(keyword, override.value)
         corrected = Action(corrected.head, corrected.args, tuple(chain))
     return corrected
 
@@ -456,7 +492,7 @@ def collect_literals(a: Action) -> list:
     def visit(action: Action) -> None:
         def take(args) -> None:
             for arg in args:
-                if arg.keyword in ("ordered_by", "index"):
+                if arg.keyword in SELECTORS:
                     continue
                 if isinstance(arg.value, Action):
                     visit(arg.value)

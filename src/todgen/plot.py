@@ -20,16 +20,24 @@ from .llm import (
     parse_json_object,
 )
 from .mr import (
+    CORRECTION,
+    INDEX,
+    ORDERED_BY,
+    SELECTORS,
     Action,
     Arg,
     Call,
     FieldAccess,
     Turn,
+    getter_head,
+    getter_service,
+    index_referral,
     matching_records,
-    order_records,
     parse_action_list,
     print_action_list,
-    resolve_referral,
+    referral_filters,
+    select_records,
+    split_correction,
 )
 from .sampler import COMPLEX_REFERRAL, SELF_CORRECTION, DialogSpecimen
 from .schema import IntentSpec, SchemaSet
@@ -80,8 +88,13 @@ class Plot:
     phenomena: tuple = field(init=False)
 
     def __post_init__(self):  # runs on every build, replace() included
-        for name in ("turns", "services", "intents"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "turns", tuple(self.turns))
+        for name in ("services", "intents"):
+            names = getattr(self, name)
+            if not (isinstance(names, (list, tuple))
+                    and all(isinstance(n, str) and n for n in names)):
+                raise PlotError(f"{name} {names!r} is not a list of non-empty strings")
+            object.__setattr__(self, name, tuple(names))
         object.__setattr__(self, "default_styles",
                            tuple(tuple(s) for s in self.default_styles))
         if not self.turns:
@@ -227,13 +240,6 @@ def _input_values(spec: DialogSpecimen, service: str, intent: IntentSpec) -> dic
             if (v := spec.value(service, intent.name, s)) is not None}
 
 
-def _index_referral(records: list, target: dict, slot: str) -> tuple[Arg, Arg]:
-    """``ordered_by``/``index`` args that pick out ``target`` among the
-    records sorted by ``slot``."""
-    ordered = order_records(records, slot)
-    return Arg("ordered_by", slot), Arg("index", ordered.index(target))
-
-
 def _build_context_initial(
     service: str,
     intent: IntentSpec,
@@ -258,7 +264,7 @@ def _build_context_initial(
     if ref_slots:
         getter_args = tuple(Arg(s, target[s]) for s in ref_slots)
     else:
-        getter_args = _index_referral(ctx.records, target, preference[0])
+        getter_args = index_referral(ctx.records, target, preference[0])
     # what the operation acts on / reports: keyword new values for state
     # changes, bare emphasis slots otherwise
     new_values = {
@@ -271,7 +277,7 @@ def _build_context_initial(
     else:
         emphasis = intent.summary_emphasis_slots or intent.result_slots[:1]
         op_args = tuple(Arg(s, None) for s in emphasis)
-    getter = f"get_{service}"
+    getter = getter_head(service)
     user_action = Action(
         getter, getter_args, (Call(f"{prefix}{intent.name}", op_args),)
     )
@@ -511,20 +517,15 @@ def merge_compositional(
     (service, intent) pair."""
     inner_service, inner_intent = inner
     _, outer_input_slot = matched_slot
-    initial = outer.turns[0]
-    replaced = []
-    hit = False
-    for action in initial.actions:
-        if action.has_arg(outer_input_slot) and not hit:
-            replaced.append(action.replace_arg(outer_input_slot, inner_action))
-            hit = True
-        else:
-            replaced.append(action)
-    if not hit:
+    initial = list(outer.turns[0].actions)
+    hit = next((i for i, action in enumerate(initial)
+                if action.has_arg(outer_input_slot)), None)
+    if hit is None:
         raise PlotError(
             f"outer initial action has no arg {outer_input_slot!r} to substitute"
         )
-    turns = [Turn("User", tuple(replaced))] + list(outer.turns[1:])
+    initial[hit] = initial[hit].replace_arg(outer_input_slot, inner_action)
+    turns = [Turn("User", tuple(initial))] + list(outer.turns[1:])
     if inner_lead_actions:
         for i, turn in enumerate(turns):
             if turn.speaker == "System":
@@ -544,17 +545,10 @@ def merge_compositional(
 # ---------------------------------------------------------------------------
 
 
-def _getter_context(action: Action, contexts: dict) -> Optional[AppContext]:
-    """The app context a ``get_<service>`` action reads, if there is one."""
-    if action.head.startswith("get_"):
-        return contexts.get(action.head[len("get_"):])
-    return None
-
-
 def _correctable(arg: Arg) -> bool:
     """A keyword arg with a literal value a user could give and correct."""
     return (
-        arg.keyword not in (None, "ordered_by", "index")
+        arg.keyword not in (None, *SELECTORS)
         and isinstance(arg.value, (str, int))
         and not isinstance(arg.value, bool)
     )
@@ -563,10 +557,10 @@ def _correctable(arg: Arg) -> bool:
 def _literal_keyword_args(action: Action, contexts: dict):
     """Args a user could plausibly correct: informed values, not the
     referring-expression filters that pick out a context record."""
-    if _getter_context(action, contexts) is None:
+    if getter_service(action) not in contexts:
         yield from filter(_correctable, action.args)
-    for seg in action.chain:
-        if isinstance(seg, Call) and seg.name != "self_correction":
+    for seg in split_correction(action)[0].chain:
+        if isinstance(seg, Call):
             yield from filter(_correctable, seg.args)
 
 
@@ -656,7 +650,7 @@ def inject_phenomena(
                 [(i, j, arg, True) for arg in action.args if _correctable(arg)]
                 for i in user
                 for j, action in enumerate(turns[i].actions)
-                if _getter_context(action, contexts) is not None
+                if getter_service(action) in contexts
             )), [])
         if candidates:
             i, j, arg, misspoken = candidates[rng.randrange(len(candidates))]
@@ -666,8 +660,7 @@ def inject_phenomena(
                 context_today(contexts))
             action = turns[i].actions[j]
             if misspoken:
-                args = tuple(Arg(a.keyword, new_value) if a is arg else a
-                             for a in action.args)
+                args = action.replace_arg(arg.keyword, new_value).args
                 said = arg.value
             else:
                 args, said = action.args, new_value
@@ -676,7 +669,7 @@ def inject_phenomena(
                     turns[k] = Turn(turns[k].speaker, tuple(
                         _replace_value_deep(a, arg.keyword, arg.value, new_value)
                         for a in turns[k].actions))
-            correction = Call("self_correction", (Arg(arg.keyword, said),))
+            correction = Call(CORRECTION, (Arg(arg.keyword, said),))
             turns[i] = _with_action(
                 turns[i], j, Action(action.head, args, action.chain + (correction,)))
     return replace(plot, turns=turns)
@@ -686,22 +679,16 @@ def _rewrite_as_referral(action: Action, contexts: dict[str, AppContext]):
     """Rewrite a slot-filter context getter into an ordered_by/index referral
     that resolves to the same record."""
     def rewrite_getter(a: Action):
-        ctx = _getter_context(a, contexts)
-        if ctx is None or not ctx.records:
+        ctx = contexts.get(getter_service(a))
+        filters = referral_filters(a)
+        if ctx is None or not filters or any(map(a.has_arg, SELECTORS)):
             return None
-        if a.has_arg("ordered_by") or a.has_arg("index"):
+        selected = select_records(a, ctx.records)
+        order_slot = filters[0][0]
+        if len(selected) != 1 or order_slot not in selected[0]:
             return None
-        filters = [x for x in a.args if x.keyword and x.value is not None]
-        if not filters:
-            return None
-        target = resolve_referral(Action(a.head, tuple(filters)), ctx)
-        if not isinstance(target, dict):
-            return None
-        order_slot = filters[0].keyword
-        if order_slot not in target:
-            return None
-        return Action(
-            a.head, _index_referral(ctx.records, target, order_slot), a.chain)
+        args = index_referral(ctx.records, selected[0], order_slot)
+        return Action(a.head, args, a.chain)
 
     direct = rewrite_getter(action)
     if direct is not None:
@@ -731,11 +718,9 @@ def _confirmed_op(action: Action) -> Optional[str]:
     """The op name a confirmation refers to."""
     for arg in action.args:
         if isinstance(arg.value, Action):
-            nested = arg.value
-            for seg in nested.chain:
-                if isinstance(seg, Call) and seg.name != "self_correction":
-                    return seg.name
-            return nested.head
+            nested = split_correction(arg.value)[0]
+            return next((seg.name for seg in nested.chain
+                         if isinstance(seg, Call)), nested.head)
     return None
 
 
@@ -764,13 +749,10 @@ def _mirroring_unsafe(
                     return True
             if isinstance(arg.value, Action) and scan(arg.value):
                 return True
-        ctx = _getter_context(action, contexts)
-        if ctx is not None and not action.has_arg("index"):
-            filters = [(a.keyword, a.value) for a in action.args
-                       if a.keyword and a.value is not None]
-            if filters and len(matching_records(ctx.records, filters)) > 1:
-                return True
-        return False
+        ctx = contexts.get(getter_service(action))
+        return (ctx is not None and not action.has_arg(INDEX)
+                and bool(referral_filters(action))
+                and len(select_records(action, ctx.records)) > 1)
 
     return any(scan(a) for a in user_turn.actions)
 
@@ -911,10 +893,9 @@ def derive_phenomena(turns) -> tuple:
     found = set()
 
     def walk(action: Action) -> None:
-        if any(isinstance(s, Call) and s.name == "self_correction"
-               for s in action.chain):
+        if split_correction(action)[1] is not None:
             found.add(SELF_CORRECTION)
-        if action.head.startswith("get_") and action.has_arg("ordered_by"):
+        if getter_service(action) is not None and action.has_arg(ORDERED_BY):
             found.add(COMPLEX_REFERRAL)
         for arg in action.args:
             if isinstance(arg.value, Action):
@@ -928,35 +909,28 @@ def derive_phenomena(turns) -> tuple:
 
 
 def derive_labels(plot: Plot, schemas: SchemaSet) -> dict:
-    """Services and intents attributed to the initial user turn's actions
-    through the schemas (consistency oracle)."""
-    def action_service_intent(action: Action):
-        if action.head.startswith("get_") and schemas.has_service(
-            action.head[len("get_"):]
-        ):
-            service = action.head[len("get_"):]
-            op = action.chain[0].name if action.chain else "check"
-            if op.startswith(f"{service}_"):
-                op = op[len(service) + 1:]
-            return service, op
+    """Services attributed to the initial user turn's actions through the
+    schemas (consistency oracle)."""
+    def action_service(action: Action) -> str:
+        service = getter_service(action)
+        if service is not None and schemas.has_service(service):
+            return service
         for svc in schemas.services:
-            for intent in svc.intent_operations:
-                if action.head == f"{svc.service_name}_{intent.name}":
-                    return svc.service_name, intent.name
+            if any(action.head == f"{svc.service_name}_{intent.name}"
+                   for intent in svc.intent_operations):
+                return svc.service_name
         owners = _intent_owners(schemas, action.head)
         if len(owners) == 1:
-            return owners[0], action.head
+            return owners[0]
         raise PlotError(f"cannot attribute action {action.head!r} to a service")
 
-    pairs = []
+    services = []
     for action in plot.turns[0].actions:
-        pairs.append(action_service_intent(action))
+        services.append(action_service(action))
         for arg in action.args:
             if isinstance(arg.value, Action):
                 try:
-                    pairs.append(action_service_intent(arg.value))
+                    services.append(action_service(arg.value))
                 except PlotError:
                     pass
-    services = tuple(dict.fromkeys(s for s, _ in pairs))
-    intents = tuple(f"{s}.{i}" for s, i in pairs)
-    return {"services": services, "intents": intents}
+    return {"services": tuple(dict.fromkeys(services))}

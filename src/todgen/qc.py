@@ -15,7 +15,7 @@ from .config import PipelineConfig
 from .dataset import Datapoint
 from .llm import Backend, ContentError, complete_validated
 from .mr import collect_literals, print_action
-from .realizer import StyledResponse, render_template
+from .realizer import StyledResponse, render_template, style_key
 from .runner import run_dialogs
 from .values import WEEKDAYS
 
@@ -142,7 +142,7 @@ def _checked_turns(dp: Datapoint):
         if isinstance(realized, str):
             yield values, "user", realized
         else:
-            label = "verbosity_high mirroring"
+            label = style_key("high", "yes")
             yield values, label, realized.variants[label]
 
 

@@ -8,7 +8,6 @@ import functools
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .config import PipelineConfig, data_path
 from .context import AppContext
@@ -18,7 +17,7 @@ from .llm import (
     complete_validated,
     parse_json_object,
 )
-from .mr import Action, Call, Turn, collect_literals, print_action
+from .mr import Action, Turn, collect_literals, print_action, split_correction
 from .persona import Persona
 from .plot import STYLES, Plot
 
@@ -148,17 +147,6 @@ def render_template(name: str, bindings: dict) -> str:
     return _PLACEHOLDER.sub(sub, _template(name))
 
 
-def _strip_correction(action: Action) -> tuple[Action, Optional[object]]:
-    """Split off a trailing self_correction segment, returning the bare action
-    and the corrected value (if any)."""
-    if action.chain and isinstance(action.chain[-1], Call) \
-            and action.chain[-1].name == "self_correction":
-        seg = action.chain[-1]
-        new_value = seg.args[0].value if seg.args else None
-        return Action(action.head, action.args, action.chain[:-1]), new_value
-    return action, None
-
-
 def _requested_slot(action: Action) -> str:
     for arg in action.args:
         if arg.value is None and arg.keyword:
@@ -171,12 +159,13 @@ def _action_info(turn: Turn) -> list:
     changes to (None without one) and the slot it requests."""
     info = []
     for action in turn.actions:
-        base, correction = _strip_correction(action)
+        base, correction = split_correction(action)
         info.append(
             {
                 "head": action.head,
                 "values": collect_literals(base),
-                "correction_new": correction,
+                "correction_new": (correction.args[0].value
+                                   if correction and correction.args else None),
                 "requested_slot": _requested_slot(base),
             }
         )

@@ -25,8 +25,9 @@ from todgen.llm import (
     RetryPolicy,
     make_backend,
 )
-from todgen.mr import Action, Turn, parse_action, parse_action_list, \
-    print_action, resolve_referral
+from todgen.mr import Action, Turn, apply_self_correction, getter_service, \
+    parse_action, parse_action_list, print_action, resolve_referral, \
+    split_correction
 from todgen.persona import generate_pool
 from todgen.plot import (
     Plot,
@@ -645,6 +646,28 @@ def test_criterion_10_qc_seeded_faults(corpus):
             for i in range(200)
         )
         assert detected_drop == 200
+
+
+def test_corpus_self_corrections_apply_and_resolve(corpus):
+    """Every corrected user action in the corpus collapses under
+    ``apply_self_correction``, and a corrected context getter picks one
+    record."""
+    corrected = getters = 0
+    for dp in corpus:
+        for turn in dp.plot.turns:
+            for action in turn.actions:
+                if turn.speaker != "User" or split_correction(action)[1] is None:
+                    continue
+                fixed = apply_self_correction(action)
+                corrected += 1
+                # get_movie_time is an intent, not a context getter
+                ctx = dp.contexts.get(getter_service(fixed))
+                if ctx is not None:
+                    record = resolve_referral(Action(fixed.head, fixed.args),
+                                              ctx)
+                    assert isinstance(record, dict), (dp.id, fixed)
+                    getters += 1
+    assert corrected > 0 and getters > 0, (corrected, getters)
 
 
 # ---------------------------------------------------------------------------

@@ -632,11 +632,17 @@ class TestStageChaining:
          "stored phenomena"),
         (lambda p: p["default_styles"].pop(),
          "default styles for"),
-    ], ids=["kind", "phenomena", "default-styles"])
+        (lambda p: p["labels"].update(services="alarms"),
+         "services 'alarms' is not a list"),
+        (lambda p: p["labels"].update(services=[1]),
+         "services [1] is not a list"),
+    ], ids=["kind", "phenomena", "default-styles", "services-string",
+            "services-number"])
     def test_plot_row_that_its_turns_contradict_fails_cleanly(
             self, runner, workdir, edit, problem):
         """Stored labels and default styles are checked against the turns
-        on read, so a tampered row stops ``realize`` at its line."""
+        and their types on read, so a tampered row stops ``realize`` at its
+        line."""
         base = ["--config", str(workdir / "config.yaml")]
         for name in ("personas", "contexts", "plots"):
             run(runner, [name] + base)

@@ -1,6 +1,7 @@
 """Module layering: a todgen module uses only the public names of another,
-no module imports a name it never uses, and only ``llm`` builds a
-completion request."""
+no module imports a name it never uses, only ``llm`` builds a completion
+request and only ``mr`` spells the MR's getter, referral and
+self-correction forms."""
 
 import ast
 from pathlib import Path
@@ -78,4 +79,30 @@ def test_only_llm_builds_completion_requests():
         and "CompletionRequest" in (getattr(node.func, "id", None),
                                     getattr(node.func, "attr", None))
     }
+    assert offenders == set()
+
+
+def test_only_mr_spells_the_mr_forms():
+    """Other modules build and read the ``get_<service>`` getter, the
+    ``ordered_by``/``index`` selectors and the ``self_correction`` segment
+    through ``mr``'s helpers; f-string pieces count. Sampler's
+    ``SELF_CORRECTION`` phenomenon label is the one other spelling."""
+    forms = {"self_correction", "ordered_by", "index", "get_"}
+    offenders = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "mr.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        label = {
+            node.value for node in ast.walk(tree)
+            if path.name == "sampler.py" and isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets]
+            == ["SELF_CORRECTION"]
+        }
+        offenders |= {
+            f"{path.name}:{node.lineno}: {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in forms
+            and node not in label
+        }
     assert offenders == set()

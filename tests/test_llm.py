@@ -95,8 +95,11 @@ class TestMockBackend:
         kept = [c for c in text.lower() if c.isalnum() or c.isspace()]
         assert list(_normalize_for_match(text)) == kept
 
-    def test_unknown_tag_falls_back(self):
-        assert MockBackend(seed=0).complete(req(tag="mystery")) == "OK."
+    def test_unknown_tag_is_refused(self):
+        """A misspelt tag fails at once instead of answering content that
+        every retry rejects."""
+        with pytest.raises(BackendError, match="'mystery'"):
+            MockBackend(seed=0).complete(req(tag="mystery"))
 
     def test_empty_messages_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):

@@ -16,6 +16,8 @@ from todgen.mr import (
     print_action,
     print_action_list,
     resolve_referral,
+    select_records,
+    split_correction,
 )
 
 
@@ -232,6 +234,21 @@ class TestResolveReferral:
         a = parse_action('get_alarms(ordered_by="time", index=0).alarms_delete(name)')
         assert resolve_referral(a, ALARMS)["name"] == "Morning Workout"
 
+    def test_bare_slot_args_do_not_filter(self):
+        a = parse_action("get_alarms(time)")
+        assert select_records(a, ALARMS.records) == ALARMS.records
+        assert resolve_referral(a, ALARMS) == ALARMS.records
+
+    def test_ordered_by_then_index_picks_among_the_filtered(self):
+        ctx = _Ctx([
+            {"time": "21:00", "name": "Late", "if_repeat": "True"},
+            {"time": "06:00", "name": "Once", "if_repeat": "False"},
+            {"time": "07:00", "name": "Early", "if_repeat": "True"},
+        ])
+        a = parse_action('get_alarms(if_repeat="True", ordered_by="time", index=1)')
+        assert select_records(a, ctx.records) == [ctx.records[0]]
+        assert resolve_referral(a, ctx)["name"] == "Late"
+
 
 class TestSelfCorrection:
     def test_table_override(self):
@@ -262,3 +279,18 @@ class TestSelfCorrection:
     def test_requires_trailing_segment(self):
         with pytest.raises(ValueError):
             apply_self_correction(parse_action("f(x=1)"))
+        with pytest.raises(ValueError):
+            apply_self_correction(parse_action("f(x=1).self_correction(x=2).g()"))
+
+    def test_split_finds_a_segment_mid_chain(self):
+        a = parse_action("f(x=1).self_correction(x=2).g(y=3).h")
+        base, correction = split_correction(a)
+        assert base == parse_action("f(x=1).g(y=3).h")
+        assert correction == Call("self_correction", (Arg("x", 2),))
+        assert split_correction(base) == (base, None)
+
+    def test_override_in_a_chain_call(self):
+        a = parse_action('get_alarms(name="Gym").modify(time="08:00")'
+                         '.self_correction(time="09:00")')
+        assert apply_self_correction(a) == parse_action(
+            'get_alarms(name="Gym").modify(time="09:00")')

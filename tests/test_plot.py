@@ -18,6 +18,7 @@ from todgen.mr import (
     Call,
     FieldAccess,
     Turn,
+    apply_self_correction,
     parse_action_list,
     print_action,
     resolve_referral,
@@ -647,15 +648,10 @@ class TestInjectPhenomena:
         seg = getter.chain[-1]
         assert isinstance(seg, Call) and seg.name == "self_correction"
         # the corrected (final) value resolves to the original target
-        fixed = Action(
-            getter.head,
-            tuple(
-                Arg(a.keyword, seg.args[0].value)
-                if a.keyword == seg.args[0].keyword else a
-                for a in getter.args
-            ),
-        )
-        assert resolve_referral(fixed, ALARM_CTX)["name"] == "Morning Workout"
+        fixed = apply_self_correction(getter)
+        assert fixed.args != getter.args
+        assert resolve_referral(Action(fixed.head, fixed.args),
+                                ALARM_CTX)["name"] == "Morning Workout"
 
     def test_no_phenomena_is_identity(self):
         spec, plot = self._delete_plot()
@@ -1034,3 +1030,15 @@ class TestPlotSerialization:
         with pytest.raises(PlotError, match=problem):
             dataclasses.replace(styled,
                                 default_styles=styles(list(styled.default_styles)))
+
+    @pytest.mark.parametrize("field, value", [
+        ("services", "movie"), ("services", [1]), ("intents", [""]),
+        ("intents", None),
+    ])
+    def test_services_and_intents_are_lists_of_names(self, field, value):
+        plot = build_single_plot(
+            movie_specimen(), ("movie", "purchase_tickets"), SCHEMAS, {},
+            derive_rng(0), LLM, CFG,
+        )
+        with pytest.raises(PlotError, match="not a list of non-empty strings"):
+            dataclasses.replace(plot, **{field: value})
