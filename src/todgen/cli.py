@@ -16,15 +16,22 @@ The backend stages (personas, contexts, plots, realize, qc) map one function
 of a persona or dialog over all of them with ``runner.run_dialogs``,
 ``max_concurrency`` at a time, and write their checkpoint in order once the
 map is done.
+
+Every stage writes its checkpoint. Within one process, the next stage takes
+the values that were written in memory instead of parsing the file again, but
+only when the file still holds the bytes that were written; otherwise (a
+standalone command, an edited or copied-in file) it reads the file.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 import os
 import sys
-from contextlib import closing, contextmanager
+from contextlib import closing
 from pathlib import Path
 
 import click
@@ -33,8 +40,8 @@ from . import dataset as dataset_mod
 from . import qc as qc_mod
 from .config import ConfigError, PipelineConfig, load_config
 from .context import generate_contexts, sample_current_time, AppContext
-from .dataset import Datapoint, compute_stats, read_dataset, read_jsonl, \
-    split as split_corpus, stats_to_text, write_dataset, write_jsonl
+from .dataset import Datapoint, compute_stats, jsonl_lines, read_jsonl, \
+    split as split_corpus, stats_to_text
 from .llm import make_backend, missing_key
 from .persona import Persona, generate_pool
 from .plot import Plot, build_plot
@@ -93,17 +100,54 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
-@contextmanager
-def _checkpoint(path: Path):
-    """Yield a temp path beside ``path``; it replaces ``path`` only once the
-    caller has written it in full, so a crash never leaves a truncated
-    checkpoint that the next stage would accept."""
+# checkpoint path -> (sha256 of the bytes written, what they decode to), for
+# the files of one output directory
+_held: dict = {}
+
+
+def _write(path: Path, text, values=None) -> None:
+    """Replace ``path`` with the strings of ``text`` in UTF-8 through a temp
+    file beside it, so a crash never leaves a truncated checkpoint that the
+    next stage would accept. ``values``, when given, are what the file
+    decodes to; :func:`_load` hands them out while it holds these bytes."""
+    digest = hashlib.sha256()
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        yield tmp
+        with open(tmp, "wb") as f:
+            for piece in text:
+                data = piece.encode("utf-8")
+                digest.update(data)
+                f.write(data)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    if values is not None:
+        if any(held.parent != path.parent for held in _held):
+            _held.clear()
+        _held[path] = (digest.digest(), list(values))
+
+
+def _save(path: Path, rows, values=None) -> None:
+    """Write ``rows`` as a JSON-lines checkpoint; ``values`` as in
+    :func:`_write`."""
+    _write(path, jsonl_lines(rows), values)
+
+
+def _sha256(path: Path) -> bytes:
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while block := f.read(1 << 16):
+            digest.update(block)
+    return digest.digest()
+
+
+def _load(path: Path, decode, what: str) -> list:
+    """``decode`` of each row of a checkpoint: the values this process wrote
+    there if the file still holds the same bytes, else read from the file."""
+    held = _held.get(path)
+    if held is not None and held[0] == _sha256(path):
+        return list(held[1])
+    return read_jsonl(path, decode, what)
 
 
 def _common_options(fn):
@@ -136,14 +180,18 @@ def stage_personas(cfg: PipelineConfig) -> list:
     out = _outdir(cfg)
     with closing(make_backend(cfg.user_backend, cfg.seed)) as llm:
         pool = generate_pool(cfg, llm)
-    with _checkpoint(out / "personas.jsonl") as tmp:
-        write_jsonl(tmp, (p.to_dict() for p in pool))
+    _save(out / "personas.jsonl", (p.to_dict() for p in pool), pool)
     return pool
 
 
 def _personas(out: Path) -> list:
-    return read_jsonl(
+    return _load(
         _require(out / "personas.jsonl", "personas"), Persona.from_dict, "row")
+
+
+def _contexts(out: Path) -> list:
+    return _load(
+        _require(out / "contexts.jsonl", "contexts"), _context_row, "row")
 
 
 def stage_contexts(cfg: PipelineConfig) -> list:
@@ -152,7 +200,7 @@ def stage_contexts(cfg: PipelineConfig) -> list:
     pool = _personas(out)
     schemas = cfg.schemas
 
-    def context_row(i: int) -> dict:
+    def context_row(i: int) -> tuple:
         assign_rng = derive_rng(cfg.seed, "assign", i)
         persona = pool[assign_rng.randrange(len(pool))]
         now = sample_current_time(
@@ -161,17 +209,15 @@ def stage_contexts(cfg: PipelineConfig) -> list:
         contexts = generate_contexts(
             persona, schemas, now, llm, cfg, derive_rng(cfg.seed, "ctx", i)
         )
-        return {
-            "dialog_id": f"dlg-{i:05d}",
-            "persona_id": persona.id,
-            "contexts": [c.to_dict() for c in contexts.values()],
-        }
+        return f"dlg-{i:05d}", persona.id, contexts
 
     with closing(make_backend(cfg.user_backend, cfg.seed)) as llm:
-        rows = run_dialogs(context_row, range(cfg.dialog_count),
-                           cfg.max_concurrency)
-    with _checkpoint(out / "contexts.jsonl") as tmp:
-        write_jsonl(tmp, rows)
+        ctx_rows = run_dialogs(context_row, range(cfg.dialog_count),
+                               cfg.max_concurrency)
+    rows = [{"dialog_id": dialog_id, "persona_id": persona_id,
+             "contexts": [c.to_dict() for c in contexts.values()]}
+            for dialog_id, persona_id, contexts in ctx_rows]
+    _save(out / "contexts.jsonl", rows, ctx_rows)
     return rows
 
 
@@ -188,11 +234,11 @@ def _plot_row(row: dict) -> tuple:
 
 def stage_plots(cfg: PipelineConfig) -> list:
     out = _outdir(cfg)
-    ctx_rows = read_jsonl(
-        _require(out / "contexts.jsonl", "contexts"), _context_row, "row")
+    ctx_rows = _contexts(out)
     schemas = cfg.schemas
 
-    def plot_row(i: int) -> dict:
+    def plot_row(i: int) -> tuple:
+        """(the plots.jsonl row, its _plot_row value)"""
         dialog_id, persona_id, contexts = ctx_rows[i]
         rng = derive_rng(cfg.seed, "dialog", i)
         spec = sample_specimen(
@@ -204,12 +250,13 @@ def stage_plots(cfg: PipelineConfig) -> list:
             "persona_id": persona_id,
             "specimen": spec.to_dict(),
             "plot": plot.to_dict(),
-        }
+        }, (dialog_id, persona_id, plot)
 
     with closing(make_backend(cfg.user_backend, cfg.seed)) as llm:
-        rows = run_dialogs(plot_row, range(len(ctx_rows)), cfg.max_concurrency)
-    with _checkpoint(out / "plots.jsonl") as tmp:
-        write_jsonl(tmp, rows)
+        pairs = run_dialogs(plot_row, range(len(ctx_rows)),
+                            cfg.max_concurrency)
+    rows = [row for row, _ in pairs]
+    _save(out / "plots.jsonl", rows, [value for _, value in pairs])
     return rows
 
 
@@ -217,10 +264,8 @@ def stage_realize(cfg: PipelineConfig) -> list:
     out = _outdir(cfg)
     pool = {p.id: p for p in _personas(out)}
     contexts_of = {
-        dialog_id: contexts for dialog_id, _, contexts in read_jsonl(
-            _require(out / "contexts.jsonl", "contexts"), _context_row, "row")
-    }
-    plot_rows = read_jsonl(_require(out / "plots.jsonl", "plots"), _plot_row, "row")
+        dialog_id: contexts for dialog_id, _, contexts in _contexts(out)}
+    plot_rows = _load(_require(out / "plots.jsonl", "plots"), _plot_row, "row")
 
     def datapoint(row: tuple) -> Datapoint:
         dialog_id, persona_id, plot = row
@@ -240,26 +285,28 @@ def stage_realize(cfg: PipelineConfig) -> list:
     with closing(make_backend(cfg.user_backend, cfg.seed)) as user_llm, \
             closing(make_backend(cfg.system_backend, cfg.seed)) as system_llm:
         dps = run_dialogs(datapoint, plot_rows, cfg.max_concurrency)
-    with _checkpoint(out / "dialogs.jsonl") as tmp:
-        write_dataset(dps, tmp)
+    _save(out / "dialogs.jsonl", (dp.to_dict() for dp in dps), dps)
     return dps
+
+
+def _datapoints(path: Path) -> list:
+    return _load(path, Datapoint.from_dict, "datapoint")
 
 
 def stage_qc(cfg: PipelineConfig) -> list:
     out = _outdir(cfg)
     dialogs = _require(out / "dialogs.jsonl", "realize")
-    dps = read_dataset(dialogs)
+    dps = _datapoints(dialogs)
     with closing(make_backend(cfg.evaluator_backend, cfg.seed)) as llm:
         reports = qc_mod.run_qc(dps, llm, cfg)
-    with _checkpoint(out / "qc_report.jsonl") as tmp:
-        write_jsonl(tmp, (r.to_dict() for r in reports))
+    _save(out / "qc_report.jsonl", (r.to_dict() for r in reports))
     dropped = {r.datapoint_id for r in reports if r.disposition == "drop"}
     keep = (dp.id not in dropped for dp in dps)
-    # read_dataset made one datapoint of each non-blank line, in order
-    with _checkpoint(out / "dataset.jsonl") as tmp, \
-            open(dialogs, encoding="utf-8") as src, \
-            open(tmp, "w", encoding="utf-8") as sink:
-        sink.writelines(line for line in src if line.strip() and next(keep))
+    # _datapoints gave one datapoint per non-blank line, in order
+    with open(dialogs, encoding="utf-8") as src:
+        _write(out / "dataset.jsonl",
+               (line for line in src if line.strip() and next(keep)),
+               [dp for dp in dps if dp.id not in dropped])
     return reports
 
 
@@ -268,22 +315,20 @@ def _dataset_for_reporting(cfg: PipelineConfig) -> list:
     path = out / "dataset.jsonl"
     if not path.exists():
         path = _require(out / "dialogs.jsonl", "realize")
-    return read_dataset(path)
+    return _datapoints(path)
 
 
 def stage_stats(cfg: PipelineConfig) -> dict:
     out = _outdir(cfg)
     stats = compute_stats(_dataset_for_reporting(cfg))
-    with _checkpoint(out / "stats.txt") as tmp:
-        tmp.write_text(stats_to_text(stats), encoding="utf-8")
+    _write(out / "stats.txt", [stats_to_text(stats)])
     for name in ("dialog_length_hist", "utterance_word_hist",
                  "service_coverage", "action_head_dist"):
-        with _checkpoint(out / f"stats_{name}.csv") as tmp, \
-                open(tmp, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["key", "count"])
-            for k, v in stats[name].items():
-                writer.writerow([k, v])
+        table = io.StringIO(newline="")
+        writer = csv.writer(table)
+        writer.writerow(["key", "count"])
+        writer.writerows(stats[name].items())
+        _write(out / f"stats_{name}.csv", [table.getvalue()])
     return stats
 
 
@@ -293,11 +338,8 @@ def stage_split(cfg: PipelineConfig) -> dataset_mod.SplitManifest:
     manifest = split_corpus(
         dps, cfg.held_out_service, cfg.test_fraction, cfg.seed
     )
-    with _checkpoint(out / "split.json") as tmp:
-        tmp.write_text(
-            json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+    _write(out / "split.json",
+           [json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n"])
     return manifest
 
 

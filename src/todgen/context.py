@@ -62,7 +62,7 @@ class ContextError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class AppContext:
     service_name: str
     today: str  # display form, e.g. "Wed 2025-04-16"
@@ -196,8 +196,10 @@ def generate_contexts(
                 raise ContentError(f"{service}: {problem}")
             if service == "contacts":
                 contact_names = [str(r.get("name", "")) for r in records]
+        # records key-sorted, as contexts.jsonl stores them
         return {
-            s: AppContext(service_name=s, today=today, time=clock, records=obj[s])
+            s: AppContext(service_name=s, today=today, time=clock,
+                          records=[dict(sorted(r.items())) for r in obj[s]])
             for s in services
         }
 

@@ -20,6 +20,7 @@ __all__ = [
     "Datapoint",
     "SplitManifest",
     "DatasetError",
+    "jsonl_lines",
     "write_jsonl",
     "write_dataset",
     "read_jsonl",
@@ -35,7 +36,7 @@ class DatasetError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Datapoint:
     id: str
     plot: Plot
@@ -85,11 +86,15 @@ def write_dataset(dps: list, sink: Union[str, Path]) -> None:
     write_jsonl(sink, (dp.to_dict() for dp in dps))
 
 
-def write_jsonl(path: Union[str, Path], rows) -> None:
+def jsonl_lines(rows):
     """One key-sorted JSON line per row, non-ASCII kept as is."""
+    for row in rows:
+        yield json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+def write_jsonl(path: Union[str, Path], rows) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        for row in rows:
-            f.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+        f.writelines(jsonl_lines(rows))
 
 
 def read_jsonl(source: Union[str, Path], decode: Callable, what: str) -> list:

@@ -58,7 +58,7 @@ class PersonaError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Persona:
     id: str
     surname: str

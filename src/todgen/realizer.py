@@ -62,7 +62,7 @@ def style_key(verbosity: str, mirroring: str) -> str:
 SIX_KEYS = tuple(style_key(*style) for style in STYLES)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StyledResponse:
     variants: dict  # six-key map -> utterance
     default_key: str
@@ -91,7 +91,7 @@ class StyledResponse:
         return cls(variants=dict(d["variants"]), default_key=d["default_key"])
 
 
-@dataclass
+@dataclass(frozen=True)
 class DialogRecord:
     turns: list = field(default_factory=list)  # str (user) | StyledResponse
 
@@ -257,8 +257,10 @@ def realize_system_turn(
     }
 
     def parse(completion: str) -> StyledResponse:
-        # StyledResponse raises a retried ContentError for bad variants
-        return StyledResponse(variants=parse_json_object(completion),
+        # StyledResponse raises a retried ContentError for bad variants;
+        # key-sorted, as dialogs.jsonl stores them
+        variants = parse_json_object(completion)
+        return StyledResponse(variants=dict(sorted(variants.items())),
                               default_key=style_key(*default_style))
 
     return complete_validated(llm, config, "system_turn", prompt, metadata,

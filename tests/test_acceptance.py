@@ -4,6 +4,7 @@ backend robustness. Each test prints one pass/fail line."""
 
 import collections
 import copy
+import dataclasses
 import itertools
 import json
 import random
@@ -591,7 +592,8 @@ def _seed_date_leak(dp, rng):
     if isinstance(realized, str):
         out.dialog.turns[i] = realized + leak
     else:
-        realized.variants = {k: v + leak for k, v in realized.variants.items()}
+        out.dialog.turns[i] = dataclasses.replace(realized, variants={
+            k: v + leak for k, v in realized.variants.items()})
     return out
 
 
@@ -610,9 +612,9 @@ def _seed_dropped_value(dp, rng):
     if isinstance(out.dialog.turns[i], str):
         out.dialog.turns[i] = blank
     else:
-        out.dialog.turns[i].variants = {
+        out.dialog.turns[i] = dataclasses.replace(out.dialog.turns[i], variants={
             k: blank for k in out.dialog.turns[i].variants
-        }
+        })
     return out
 
 

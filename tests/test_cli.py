@@ -11,11 +11,13 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from todgen import schema
+from todgen import cli, schema
 from todgen.cli import main, stage_contexts, stage_personas, stage_plots
 from todgen.config import ConfigError, PipelineConfig, load_config
-from todgen.dataset import read_dataset
+from todgen.dataset import Datapoint, DatasetError, read_dataset, read_jsonl
 from todgen.llm import BackendConfig, MockBackend, RetryPolicy
+from todgen.persona import Persona
+from todgen.plot import Plot
 
 
 @pytest.fixture
@@ -698,6 +700,102 @@ class TestStageChaining:
         for csv_name in ("stats_dialog_length_hist.csv",
                          "stats_service_coverage.csv"):
             assert (out / csv_name).read_text().startswith("key,count")
+
+
+# the decode of each checkpoint that a later stage reads
+_DECODERS = {
+    "personas.jsonl": Persona.from_dict,
+    "contexts.jsonl": cli._context_row,
+    "plots.jsonl": cli._plot_row,
+    "dialogs.jsonl": Datapoint.from_dict,
+    "dataset.jsonl": Datapoint.from_dict,
+}
+
+
+def _strict_diff(held, read, where: str) -> str:
+    """Where ``held`` and ``read`` first differ in value, in type (list vs
+    tuple included) or in dict key order; "" when they do not."""
+    if type(held) is not type(read):
+        return f"{where}: {type(held).__name__} != {type(read).__name__}"
+    if dataclasses.is_dataclass(held):
+        pairs = [(f".{f.name}", getattr(held, f.name), getattr(read, f.name))
+                 for f in dataclasses.fields(held)]
+    elif isinstance(held, dict):
+        if list(held) != list(read):
+            return f"{where}: keys {list(held)} != {list(read)}"
+        pairs = [(f"[{k!r}]", held[k], read[k]) for k in held]
+    elif isinstance(held, (list, tuple)):
+        if len(held) != len(read):
+            return f"{where}: length {len(held)} != {len(read)}"
+        pairs = [(f"[{i}]", h, r) for i, (h, r) in enumerate(zip(held, read))]
+    else:
+        return "" if held == read else f"{where}: {held!r} != {read!r}"
+    return next((diff for step, h, r in pairs
+                 if (diff := _strict_diff(h, r, where + step))), "")
+
+
+def _config(out: Path, count: int = 10) -> PipelineConfig:
+    return PipelineConfig(seed=7, dialog_count=count, persona_pool_size=8,
+                          output_dir=str(out))
+
+
+class TestCheckpointHandOver:
+    """Within one process a stage takes its predecessor's checkpoint in
+    memory, but only while the file holds the bytes that were written."""
+
+    def test_held_values_equal_a_strict_read(self, tmp_path):
+        cfg = PipelineConfig(seed=7, dialog_count=100, output_dir=str(tmp_path))
+        for stage in cli._STAGES.values():
+            stage(cfg)
+            # every checkpoint held so far, so after split also a check that
+            # no later stage changed the values of an earlier one
+            for path, (_, values) in cli._held.items():
+                read = read_jsonl(path, _DECODERS[path.name], "row")
+                assert _strict_diff(values, read, path.name) == ""
+        assert sorted(path.name for path in cli._held) == sorted(_DECODERS)
+
+    def test_stages_parse_no_checkpoint_they_wrote(self, tmp_path,
+                                                   monkeypatch):
+        def no_parse(source, decode, what):
+            raise AssertionError(f"parsed {source}")
+
+        monkeypatch.setattr(cli, "read_jsonl", no_parse)
+        for stage in cli._STAGES.values():
+            stage(_config(tmp_path))
+
+    def test_only_the_last_output_directory_is_held(self, tmp_path):
+        for name in ("a", "b"):
+            stage_personas(_config(tmp_path / name))
+        assert list(cli._held) == [tmp_path / "b" / "personas.jsonl"]
+
+    def _plots(self, out: Path) -> PipelineConfig:
+        cfg = _config(out)
+        for stage in (stage_personas, stage_contexts, stage_plots):
+            stage(cfg)
+        return cfg
+
+    def test_realize_reads_a_rewritten_plot(self, tmp_path):
+        cfg = self._plots(tmp_path)
+        path = tmp_path / "plots.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        rows = [json.loads(line) for line in lines]
+        other = next(r["plot"] for r in rows if r["plot"] != rows[0]["plot"])
+        lines[0] = json.dumps({**rows[0], "plot": other}) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        dps = cli.stage_realize(cfg)
+        assert dps[0].plot == Plot.from_dict(other)
+        assert [dp.plot for dp in dps[1:]] == \
+            [Plot.from_dict(r["plot"]) for r in rows[1:]]
+
+    def test_truncated_plots_file_fails_naming_its_line(self, tmp_path):
+        cfg = self._plots(tmp_path)
+        path = tmp_path / "plots.jsonl"
+        data = path.read_bytes()
+        path.write_bytes(data[:-20])
+        last = data.count(b"\n")
+        with pytest.raises(DatasetError,
+                           match=rf"plots\.jsonl:{last}: malformed row"):
+            cli.stage_realize(cfg)
 
 
 class TestOptions:

@@ -70,9 +70,8 @@ class TestDatapoint:
             dp.check_labels(SCHEMAS)
 
     def test_check_labels_catches_tampering(self, corpus):
-        dp = copy.deepcopy(corpus[0])
-        dp.plot = dataclasses.replace(
-            dp.plot, services=dp.plot.services + ("tampered",))
+        dp = dataclasses.replace(corpus[0], plot=dataclasses.replace(
+            corpus[0].plot, services=corpus[0].plot.services + ("tampered",)))
         with pytest.raises(DatasetError, match="services"):
             dp.check_labels(SCHEMAS)
 

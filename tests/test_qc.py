@@ -2,6 +2,7 @@
 evaluator dispositions, and fault seeding."""
 
 import copy
+import dataclasses
 
 import pytest
 
@@ -57,7 +58,8 @@ def _mutate_utterance(dp, fn):
         if isinstance(realized, str):
             out.dialog.turns[i] = fn(realized)
         else:
-            realized.variants = {k: fn(v) for k, v in realized.variants.items()}
+            out.dialog.turns[i] = dataclasses.replace(realized, variants={
+                k: fn(v) for k, v in realized.variants.items()})
         break
     return out
 
