@@ -42,7 +42,8 @@ from .config import ConfigError, PipelineConfig, load_config
 from .context import generate_contexts, sample_current_time, AppContext
 from .dataset import Datapoint, compute_stats, jsonl_lines, read_jsonl, \
     split as split_corpus, stats_to_text
-from .llm import make_backend, missing_key
+from .llm import Backend, BackendConfig, HttpBackend, missing_key
+from .mock import MockBackend
 from .persona import Persona, generate_pool
 from .plot import Plot, build_plot
 from .realizer import realize_dialog
@@ -86,6 +87,14 @@ def _warn_missing_keys(cfg: PipelineConfig, stages) -> None:
         if missing_key(backend):
             click.echo(f"warning: {role}_backend sends no API key, as "
                        f"${backend.auth_env} is unset or empty", err=True)
+
+
+def make_backend(config: BackendConfig, seed: int) -> Backend:
+    """The backend ``config`` describes; a mock answers under ``seed``, the
+    pipeline seed."""
+    if config.kind == "mock":
+        return MockBackend(seed=seed)
+    return HttpBackend(config)
 
 
 def _outdir(cfg: PipelineConfig) -> Path:

@@ -16,16 +16,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from todgen.cli import main as cli_main
+from todgen.cli import main as cli_main, make_backend
 from todgen.config import PipelineConfig
 from todgen.context import generate_contexts, sample_current_time
 from todgen.dataset import read_dataset, split, word_count
-from todgen.llm import (
-    BackendConfig,
-    HttpBackend,
-    RetryPolicy,
-    make_backend,
-)
+from todgen.llm import BackendConfig, HttpBackend, RetryPolicy
 from todgen.mr import Action, Turn, apply_self_correction, getter_service, \
     parse_action, parse_action_list, print_action, resolve_referral, \
     split_correction

@@ -15,7 +15,8 @@ from todgen import cli, schema
 from todgen.cli import main, stage_contexts, stage_personas, stage_plots
 from todgen.config import ConfigError, PipelineConfig, load_config
 from todgen.dataset import Datapoint, DatasetError, read_dataset, read_jsonl
-from todgen.llm import BackendConfig, MockBackend, RetryPolicy
+from todgen.llm import BackendConfig, RetryPolicy
+from todgen.mock import MockBackend
 from todgen.persona import Persona
 from todgen.plot import Plot
 

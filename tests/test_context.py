@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from todgen.cli import make_backend
 from todgen.config import PipelineConfig
 from todgen.context import (
     CONTACT_DEPENDENT,
@@ -17,13 +18,8 @@ from todgen.context import (
     generate_contexts,
     sample_current_time,
 )
-from todgen.llm import (
-    Backend,
-    ContentError,
-    MockBackend,
-    make_backend,
-    parse_json_object,
-)
+from todgen.llm import Backend, ContentError, parse_json_object
+from todgen.mock import MockBackend
 from todgen.persona import Persona
 from todgen.rng import derive_rng
 from todgen.schema import load_schema_set

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from todgen.cli import make_backend
 from todgen.config import PipelineConfig
 from todgen.context import generate_contexts, sample_current_time
 from todgen.dataset import (
@@ -18,7 +19,6 @@ from todgen.dataset import (
     word_count,
     write_dataset,
 )
-from todgen.llm import make_backend
 from todgen.persona import generate_pool
 from todgen.plot import build_plot
 from todgen.realizer import realize_dialog

@@ -23,7 +23,7 @@ import pytest
 from click.testing import CliRunner
 
 from todgen.cli import main
-from todgen.llm import MockBackend
+from todgen.mock import MockBackend
 
 GOLDEN = Path(__file__).with_name("golden.json")
 GOLDEN_PROMPTS = Path(__file__).with_name("golden_prompts.json")

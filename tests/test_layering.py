@@ -1,7 +1,8 @@
 """Module layering: a todgen module uses only the public names of another,
 no module imports a name it never uses, only ``llm`` builds a completion
-request and only ``mr`` spells the MR's getter, referral and
-self-correction forms."""
+request, only ``mr`` spells the MR's getter, referral and self-correction
+forms, only ``realizer`` spells the style keys, the transport in ``llm``
+stands below the pipeline and only ``cli`` picks the mock backend."""
 
 import ast
 from pathlib import Path
@@ -106,3 +107,54 @@ def test_only_mr_spells_the_mr_forms():
             and node not in label
         }
     assert offenders == set()
+
+
+def test_only_realizer_spells_the_style_keys():
+    """Other modules take the six ``verbosity_...`` keys from
+    ``realizer.SIX_KEYS`` or ``style_key``; f-string pieces count."""
+    offenders = {
+        f"{path.name}:{node.lineno}: {node.value!r}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "realizer.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.startswith("verbosity_")
+    }
+    assert offenders == set()
+
+
+def _imported_modules(path: Path) -> set:
+    """The todgen modules ``path`` imports when it runs: imports under ``if
+    TYPE_CHECKING:`` are left out."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    type_only = {
+        id(inner) for node in ast.walk(tree)
+        if isinstance(node, ast.If) and getattr(node.test, "id", None)
+        == "TYPE_CHECKING"
+        for inner in ast.walk(node)
+    }
+    modules = set()
+    for node in ast.walk(tree):
+        if id(node) in type_only:
+            continue
+        if isinstance(node, ast.ImportFrom) and (node.level or (
+                node.module or "").split(".")[0] == "todgen"):
+            name = (node.module or "").removeprefix("todgen").lstrip(".")
+            modules |= {name} if name else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {a.name.split(".")[1] for a in node.names
+                        if a.name.startswith("todgen.")}
+    return modules
+
+
+def test_llm_imports_only_runner():
+    """The transport needs the dialog turn from ``runner`` and nothing of the
+    pipeline; its one type-only import names the config it reads."""
+    assert _imported_modules(SRC / "llm.py") == {"runner"}
+
+
+def test_only_cli_imports_mock():
+    """The pipeline takes whatever backend ``cli.make_backend`` builds; no
+    stage knows the mock."""
+    importers = {path.name for path in sorted(SRC.glob("*.py"))
+                 if "mock" in _imported_modules(path)}
+    assert importers == {"cli.py"}

@@ -1,7 +1,6 @@
-"""Backend behavior: mock determinism, HTTP client retry,
-auth handling, and error surfaces."""
+"""The transport: HTTP client framing, retry, keep-alive and auth handling,
+error surfaces and ``complete_validated``."""
 
-import datetime
 import http.client
 import io
 import json
@@ -23,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from todgen import llm, runner
+from todgen.cli import make_backend
 from todgen.config import PipelineConfig
 from todgen.llm import (
     AuthError,
@@ -33,15 +33,12 @@ from todgen.llm import (
     ContentError,
     USER_AGENT,
     HttpBackend,
-    MockBackend,
     RetryExhaustedError,
     RetryPolicy,
     __version__,
-    _normalize_for_match,
     complete_validated,
-    make_backend,
 )
-from todgen.values import format_date
+from todgen.mock import MockBackend
 
 
 def req(tag="user_turn", metadata=None, content="hello"):
@@ -49,66 +46,6 @@ def req(tag="user_turn", metadata=None, content="hello"):
         messages=(("user", content),), temperature=0.7, max_tokens=512,
         tag=tag, metadata=metadata
     )
-
-
-class TestMockBackend:
-    def test_pure_function_of_request_and_seed(self):
-        a = MockBackend(seed=5)
-        b = MockBackend(seed=5)
-        r = req(metadata={"action_info": [{"head": "create",
-                                          "values": ["07:00"]}]})
-        assert a.complete(r) == b.complete(r)
-        # repeated calls on one instance are stable too
-        assert a.complete(r) == a.complete(r)
-
-    def test_seed_changes_output(self):
-        r = req(tag="persona_details", metadata={"work_status": "employed"})
-        outputs = {MockBackend(seed=s).complete(r) for s in range(20)}
-        assert len(outputs) > 1
-
-    def test_metadata_changes_output(self):
-        backend = MockBackend(seed=0)
-        services = [{"service": "alarms", "record_slots": ["name"], "count": 2}]
-        a = backend.complete(req(tag="context", metadata={
-            "services": services, "attempt": 0}))
-        b = backend.complete(req(tag="context", metadata={
-            "services": services, "attempt": 1}))
-        assert a != b
-
-    def test_request_digest_is_pinned(self):
-        """Every mock answer is drawn from a digest of the request's canonical
-        JSON; a change to those bytes would change every mock artifact."""
-        request = CompletionRequest(
-            messages=(("system", "Sé brief."), ("user", "book a table for 2")),
-            temperature=0.7,
-            max_tokens=512,
-            tag="user_turn",
-            metadata={"attempt": 1, "when": datetime.date(2024, 5, 3),
-                      "values": ["x", 3]},
-        )
-        rng = MockBackend(seed=7)._rng(request)
-        assert rng.getrandbits(64) == 15374177986679739076
-
-    def test_normalize_for_match_keeps_exactly_alnum_and_space(self):
-        """Checked on every code point against the character predicate."""
-        text = "".join(map(chr, range(sys.maxunicode + 1)))
-        kept = [c for c in text.lower() if c.isalnum() or c.isspace()]
-        assert list(_normalize_for_match(text)) == kept
-
-    def test_unknown_tag_is_refused(self):
-        """A misspelt tag fails at once instead of answering content that
-        every retry rejects."""
-        with pytest.raises(BackendError, match="'mystery'"):
-            MockBackend(seed=0).complete(req(tag="mystery"))
-
-    def test_empty_messages_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            CompletionRequest(messages=(), temperature=0.7, max_tokens=512)
-
-    def test_format_date_has_weekday(self):
-        import datetime as dt
-
-        assert format_date(dt.date(2025, 4, 16)) == "Wed 2025-04-16"
 
 
 class _StubHandler(BaseHTTPRequestHandler):

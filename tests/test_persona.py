@@ -8,9 +8,11 @@ from dataclasses import replace
 
 import pytest
 
+from todgen.cli import make_backend
 from todgen.config import PipelineConfig
 from todgen.dataset import read_jsonl, write_jsonl
-from todgen.llm import Backend, MockBackend, make_backend
+from todgen.llm import Backend
+from todgen.mock import MockBackend
 from todgen.persona import (
     GENDERS,
     MBTI_TYPES,

@@ -9,9 +9,10 @@ import json
 import pytest
 
 from todgen import cli
+from todgen.cli import make_backend
 from todgen.config import PipelineConfig
 from todgen.context import AppContext, generate_contexts
-from todgen.llm import MockBackend, make_backend
+from todgen.mock import MockBackend
 from todgen.mr import (
     Action,
     Arg,

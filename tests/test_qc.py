@@ -6,10 +6,11 @@ import dataclasses
 
 import pytest
 
+from todgen.cli import make_backend
 from todgen.config import PipelineConfig
 from todgen.context import generate_contexts, sample_current_time
 from todgen.dataset import Datapoint
-from todgen.llm import Backend, make_backend
+from todgen.llm import Backend
 from todgen.persona import generate_pool
 from todgen.plot import build_plot
 from todgen.qc import (

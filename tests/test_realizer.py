@@ -8,10 +8,10 @@ import pytest
 from click.testing import CliRunner
 
 from todgen import realizer
-from todgen.cli import main
+from todgen.cli import main, make_backend
 from todgen.config import PipelineConfig, data_path
 from todgen.dataset import read_dataset
-from todgen.llm import Backend, make_backend
+from todgen.llm import Backend
 from todgen.mr import print_action
 from todgen.persona import Persona
 from todgen.plot import assign_default_styles, build_single_plot

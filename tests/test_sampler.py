@@ -6,9 +6,9 @@ import json
 
 import pytest
 
+from todgen.cli import make_backend
 from todgen.config import PipelineConfig
 from todgen.context import generate_contexts, sample_current_time
-from todgen.llm import make_backend
 from todgen.persona import generate_pool
 from todgen.rng import derive_rng
 from todgen.sampler import (
