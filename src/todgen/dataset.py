@@ -86,10 +86,13 @@ def write_dataset(dps: list, sink: Union[str, Path]) -> None:
     write_jsonl(sink, (dp.to_dict() for dp in dps))
 
 
+_write_json_line = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+
+
 def jsonl_lines(rows):
     """One key-sorted JSON line per row, non-ASCII kept as is."""
     for row in rows:
-        yield json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
+        yield _write_json_line(row) + "\n"
 
 
 def write_jsonl(path: Union[str, Path], rows) -> None:

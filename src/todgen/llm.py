@@ -556,10 +556,11 @@ def complete_validated(llm: Backend, config: PipelineConfig, tag: str,
     one user message under the config's ``temperature`` and ``max_tokens``
     (or ``max_tokens`` when given), asking up to ``config.content_retries``
     times. Attempt ``k`` adds ``"attempt": k`` to ``metadata``, so the mock
-    answers each attempt afresh. ``parse`` rejects a completion by raising
-    :class:`ContentError`; any other exception, backend errors included,
-    propagates at once. When every attempt is rejected, ``error`` is raised
-    with the last reason."""
+    answers each attempt afresh where its answer draws (every tag but
+    ``user_turn``, ``system_turn`` and ``qc_eval``). ``parse`` rejects a
+    completion by raising :class:`ContentError`; any other exception, backend
+    errors included, propagates at once. When every attempt is rejected,
+    ``error`` is raised with the last reason."""
     retries = config.content_retries
     problem: object = "no attempt made"
     for attempt in range(retries):

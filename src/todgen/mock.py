@@ -1,11 +1,13 @@
 """The deterministic mock backend, the default backend of every role.
 
-The mock is a pure function of (request, seed): each answer is drawn from an
-RNG seeded by a digest of the request's canonical JSON (seed, tag, metadata
-and messages), so every hint a stage attaches changes the answer. It answers
-from the structured ``metadata`` a stage attaches beside the prompt, not from
-the prompt, in the format that stage parses from a real model, so mock and
-HTTP runs share code paths.
+The mock is a pure function of (request, seed). It answers from the
+structured ``metadata`` a stage attaches beside the prompt, not from the
+prompt, in the format that stage parses from a real model, so mock and HTTP
+runs share code paths. Only the five tags whose answers draw seed an RNG,
+from a digest of the request's canonical JSON (seed, tag, metadata and
+messages), so every hint attached to them changes the answer; ``user_turn``,
+``system_turn`` and ``qc_eval`` answers are pure functions of their metadata,
+the same under any seed and attempt.
 
 A real model sees only the prompt. Three values the mock reads are missing
 from it: the ``context`` slots' ``potential_values``, the ``slot_values``
@@ -41,8 +43,9 @@ def _words(text: str) -> int:
     return len(text.split())
 
 
-# the mock's request digest input; changing it changes every mock answer
+# the mock's request digest input; changing it changes every drawn answer
 _CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, default=str)
+_write_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 class MockBackend(Backend):
@@ -63,10 +66,12 @@ class MockBackend(Backend):
         return random.Random(int.from_bytes(digest[:8], "big"))
 
     def _complete(self, req: CompletionRequest) -> str:
-        handler = _MOCK_HANDLERS.get(req.tag)
-        if handler is None:
+        entry = _MOCK_HANDLERS.get(req.tag)
+        if entry is None:
             raise BackendError(f"mock backend has no answer for tag {req.tag!r}")
-        return handler(self._rng(req), req.metadata or {})
+        draws, handler = entry
+        meta = req.metadata or {}
+        return handler(self._rng(req), meta) if draws else handler(meta)
 
 
 def _mock_persona_details(rng, meta) -> str:
@@ -123,7 +128,7 @@ def _mock_context(rng, meta) -> str:
         ]
         if service == "contacts":
             contact_names = [str(r.get("name", "")) for r in out[service]]
-    return json.dumps(out, ensure_ascii=False)
+    return _write_json(out)
 
 
 def _mock_slot_values(rng, meta) -> str:
@@ -135,7 +140,7 @@ def _mock_slot_values(rng, meta) -> str:
         out[key] = sample_value(
             rng, spec["slot"], spec.get("potential_values", []), today, names
         )
-    return json.dumps(out, ensure_ascii=False)
+    return _write_json(out)
 
 
 def _mock_db_query(rng, meta) -> str:
@@ -149,10 +154,10 @@ def _mock_db_query(rng, meta) -> str:
             if slot not in record:
                 record[slot] = sample_value(rng, slot, [], today)
         records.append(record)
-    return json.dumps(records, ensure_ascii=False)
+    return _write_json(records)
 
 
-def _mock_user_turn(rng, meta) -> str:
+def _mock_user_turn(meta) -> str:
     """Deterministic user message templated from per-action head + values."""
     parts = []
     for act in meta.get("action_info", []):
@@ -174,13 +179,10 @@ def _mock_user_turn(rng, meta) -> str:
         if act.get("correction_new") is not None:
             parts.append(f"Actually, make that {act['correction_new']} instead.")
     message = " ".join(parts) if parts else "Okay."
-    return json.dumps(
-        {"actions": meta.get("actions", []), "message": message},
-        ensure_ascii=False,
-    )
+    return _write_json({"actions": meta.get("actions", []), "message": message})
 
 
-def _mock_system_turn(rng, meta) -> str:
+def _mock_system_turn(meta) -> str:
     """Six style variants with strictly increasing word counts low<mid<high.
 
     ``action_info`` lists one entry per action in the turn; each contributes a
@@ -218,7 +220,7 @@ def _mock_system_turn(rng, meta) -> str:
         if mirroring == "yes" and mirror_phrase:
             text = f"{text[:-1]}, regarding \"{mirror_phrase}\"."
         variants[key] = text
-    return json.dumps(variants, ensure_ascii=False)
+    return _write_json(variants)
 
 
 def _mock_system_sentences(act: dict) -> tuple[str, str, str]:
@@ -287,7 +289,7 @@ def _normalize_for_match(text: str) -> str:
     return _NOT_ALNUM_OR_SPACE.sub("", text.lower())
 
 
-def _mock_qc_eval(rng, meta) -> str:
+def _mock_qc_eval(meta) -> str:
     """Rule-based consistency: every action literal must appear in its
     utterance (case-insensitive, punctuation-stripped)."""
     for pair in meta.get("pairs", []):
@@ -301,13 +303,15 @@ def _mock_qc_eval(rng, meta) -> str:
     return "consistent"
 
 
-_MOCK_HANDLERS: dict[str, Callable] = {
-    "persona_details": _mock_persona_details,
-    "persona_intro": _mock_persona_intro,
-    "context": _mock_context,
-    "slot_values": _mock_slot_values,
-    "db_query": _mock_db_query,
-    "user_turn": _mock_user_turn,
-    "system_turn": _mock_system_turn,
-    "qc_eval": _mock_qc_eval,
+# tag -> (draws, handler): a drawing handler takes (rng, meta), a pure one
+# (meta) alone, and only a drawing one costs a request digest
+_MOCK_HANDLERS: dict[str, tuple[bool, Callable]] = {
+    "persona_details": (True, _mock_persona_details),
+    "persona_intro": (True, _mock_persona_intro),
+    "context": (True, _mock_context),
+    "slot_values": (True, _mock_slot_values),
+    "db_query": (True, _mock_db_query),
+    "user_turn": (False, _mock_user_turn),
+    "system_turn": (False, _mock_system_turn),
+    "qc_eval": (False, _mock_qc_eval),
 }

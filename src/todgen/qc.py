@@ -35,6 +35,10 @@ _ISO_DATE = re.compile(r"(?<![\w-])(\d{4}-\d{2}-\d{2})(?![\w-])")
 _PLACEHOLDER = re.compile(r"\{\{[^}]*\}\}")
 _MR_FRAGMENT = re.compile(r"\b[A-Za-z_]\w*\([^()]*=[^()]*\)")
 
+# value forms: a 24h clock time, and a weekday display date (casefolded)
+_CLOCK_24H = re.compile(r"(\d{1,2}):(\d{2})")
+_WEEKDAY_DATE = re.compile(r"(mon|tue|wed|thu|fri|sat|sun) (\d{4}-\d{2}-\d{2})")
+
 
 @dataclass
 class QCReport:
@@ -69,31 +73,28 @@ def _iter_utterances(dp: Datapoint):
 
 def check_unformatted(dp: Datapoint) -> tuple[str, list]:
     """Fail on bare ISO dates (no weekday display form), ISO datetimes,
-    unresolved template placeholders, or raw MR fragments in any utterance."""
+    unresolved template placeholders, or raw MR fragments in any utterance;
+    a pattern runs only on text that holds a substring it needs to match."""
     details = []
     for i, label, text in _iter_utterances(dp):
-        if _ISO_DATETIME.search(text):
-            details.append(
-                f"turn {i} ({label}): ISO datetime "
-                f"{_ISO_DATETIME.search(text).group(0)!r}"
-            )
-            continue
-        for m in _ISO_DATE.finditer(text):
-            start = m.start()
-            prefix = text[max(0, start - 4):start]
-            if not any(prefix.startswith(w) for w in WEEKDAYS):
-                details.append(f"turn {i} ({label}): bare ISO date {m.group(1)!r}")
-                break
-        if _PLACEHOLDER.search(text):
-            details.append(
-                f"turn {i} ({label}): unresolved placeholder "
-                f"{_PLACEHOLDER.search(text).group(0)!r}"
-            )
-        if _MR_FRAGMENT.search(text):
-            details.append(
-                f"turn {i} ({label}): raw action fragment "
-                f"{_MR_FRAGMENT.search(text).group(0)!r}"
-            )
+        if "-" in text:
+            if m := _ISO_DATETIME.search(text):
+                details.append(f"turn {i} ({label}): ISO datetime "
+                               f"{m.group(0)!r}")
+                continue
+            for m in _ISO_DATE.finditer(text):
+                start = m.start()
+                prefix = text[max(0, start - 4):start]
+                if not any(prefix.startswith(w) for w in WEEKDAYS):
+                    details.append(
+                        f"turn {i} ({label}): bare ISO date {m.group(1)!r}")
+                    break
+        if "{{" in text and (m := _PLACEHOLDER.search(text)):
+            details.append(f"turn {i} ({label}): unresolved placeholder "
+                           f"{m.group(0)!r}")
+        if "(" in text and (m := _MR_FRAGMENT.search(text)):
+            details.append(f"turn {i} ({label}): raw action fragment "
+                           f"{m.group(0)!r}")
     return ("fail" if details else "pass"), details
 
 
@@ -111,15 +112,14 @@ def value_variants(value) -> tuple[str, ...]:
         variants.append(_NUMBER_WORDS[value])
     if isinstance(value, str):
         # 24h time -> 12h clock form ("20:00" ~ "8:00 pm")
-        m = re.fullmatch(r"(\d{1,2}):(\d{2})", value)
+        m = _CLOCK_24H.fullmatch(value)
         if m:
             hour, minute = int(m.group(1)), m.group(2)
             suffix = "am" if hour < 12 else "pm"
             hour12 = hour % 12 or 12
             variants.append(f"{hour12}:{minute} {suffix}")
         # weekday display date ~ bare ISO date (it may appear weekday-first)
-        m = re.fullmatch(r"(mon|tue|wed|thu|fri|sat|sun) (\d{4}-\d{2}-\d{2})",
-                         text)
+        m = _WEEKDAY_DATE.fullmatch(text)
         if m:
             variants.append(m.group(2))
         if value.isdigit() and 0 <= int(value) <= 12:
@@ -199,7 +199,7 @@ def evaluate_consistency(
 
     try:
         return complete_validated(llm, config, "qc_eval", prompt,
-                                  {"pairs": pairs, "datapoint": dp.id}, parse)
+                                  {"pairs": pairs}, parse)
     except ContentError:
         return "unparseable", "no parseable verdict from the evaluator"
 

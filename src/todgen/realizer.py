@@ -35,6 +35,8 @@ __all__ = [
     "style_key",
 ]
 
+_write_json = json.JSONEncoder(ensure_ascii=False).encode
+
 _SEEDED_EXCHANGE = (
     'user: {"actions": ["hello()"], "message": "Hi."}',
     'assistant: {"actions": ["offer_help()"], "message": "Hello, how can I help?"}',
@@ -179,8 +181,7 @@ def build_history(actions: list[str], utterance) -> str:
         role, message = "assistant", utterance.default_utterance
     else:
         role, message = "user", utterance
-    return f"{role}: " + json.dumps({"actions": actions, "message": message},
-                                    ensure_ascii=False)
+    return f"{role}: " + _write_json({"actions": actions, "message": message})
 
 
 def _context_summary(contexts: dict[str, AppContext]) -> str:
@@ -190,7 +191,7 @@ def _context_summary(contexts: dict[str, AppContext]) -> str:
     payload = {"today": first.today, "time": first.time}
     for name, ctx in contexts.items():
         payload[name] = ctx.records
-    return json.dumps(payload, ensure_ascii=False)
+    return _write_json(payload)
 
 
 def realize_user_turn(
@@ -198,21 +199,22 @@ def realize_user_turn(
     actions: list[str],
     history: str,
     persona: Persona,
-    contexts: dict[str, AppContext],
+    context: str,
     situation: str,
     llm: Backend,
     config: PipelineConfig,
 ) -> str:
+    """``context`` is the dialog's context summary, encoded once per dialog."""
     if turn.speaker != "User":
         raise RealizerError("realize_user_turn needs a user turn")
     prompt = render_template(
         "user.txt",
         {
             "user_intro": persona.introduction,
-            "context": _context_summary(contexts),
+            "context": context,
             "situation": situation,
             "history": history,
-            "action[cur_turn]": json.dumps(actions, ensure_ascii=False),
+            "action[cur_turn]": _write_json(actions),
             "user_style_instruction": persona.speaking_habit,
         },
     )
@@ -241,17 +243,15 @@ def realize_system_turn(
 ) -> StyledResponse:
     if turn.speaker != "System":
         raise RealizerError("realize_system_turn needs a system turn")
-    actions_json = json.dumps({k: actions for k in SIX_KEYS}, ensure_ascii=False)
     prompt = render_template(
         "system.txt",
         {
             "situation": situation,
             "history": history,
-            "action[cur_turn]": actions_json,
+            "action[cur_turn]": _write_json({k: actions for k in SIX_KEYS}),
         },
     )
     metadata = {
-        "actions": actions,
         "action_info": _action_info(turn),
         "last_user_utterance": last_user_utterance,
     }
@@ -280,6 +280,7 @@ def realize_dialog(
     if len(plot.default_styles) != len(plot.system_turns):
         raise RealizerError("plot is missing default styles; assign them first")
     situation = ", ".join(plot.services)
+    context = _context_summary(contexts)
     history = list(_SEEDED_EXCHANGE)  # one line per realized turn follows
     default_styles = iter(plot.default_styles)
     realized: list = []
@@ -288,7 +289,7 @@ def realize_dialog(
         actions = [print_action(a) for a in turn.actions]
         if turn.speaker == "User":
             utterance = last_user = realize_user_turn(
-                turn, actions, "\n".join(history), persona, contexts,
+                turn, actions, "\n".join(history), persona, context,
                 situation, user_llm, config,
             )
         else:

@@ -1,6 +1,7 @@
 """The mock backend: a pure function of (request, seed) that answers from
-the request's metadata, and the metadata it reads that the prompt does not
-show a real model."""
+the request's metadata, takes a request digest only for the tags whose
+answers draw, and reads metadata that the prompt does not show a real
+model."""
 
 import datetime
 import json
@@ -83,8 +84,71 @@ class TestMockBackend:
         assert format_date(dt.date(2025, 4, 16)) == "Wed 2025-04-16"
 
 
+# the tags whose answers draw from an RNG seeded by the request digest
+DRAWING = {"persona_details", "persona_intro", "context", "slot_values",
+           "db_query"}
+
+
+def _stage_sequence(tmp_path, dialogs: int) -> None:
+    """Every stage, in order, on the mock backend at seed 7."""
+    cfg = PipelineConfig(seed=7, dialog_count=dialogs, max_concurrency=1,
+                         output_dir=str(tmp_path))
+    for stage in cli._STAGES.values():
+        stage(cfg)
+
+
+def test_only_drawing_tags_take_a_digest(tmp_path, monkeypatch):
+    """A 20-dialog mock run requests every tag, and hashes a request into an
+    RNG seed for exactly the tags whose answers draw, once per request."""
+    requested, digested = Counter(), Counter()
+    complete, rng = MockBackend._complete, MockBackend._rng
+
+    def counting_complete(self, request):
+        requested[request.tag] += 1
+        return complete(self, request)
+
+    def counting_rng(self, request):
+        digested[request.tag] += 1
+        return rng(self, request)
+
+    monkeypatch.setattr(MockBackend, "_complete", counting_complete)
+    monkeypatch.setattr(MockBackend, "_rng", counting_rng)
+    _stage_sequence(tmp_path, 20)
+    assert set(requested) == set(mock._MOCK_HANDLERS)
+    assert digested == {tag: requested[tag] for tag in DRAWING}
+
+
+PURE_REQUESTS = {
+    "user_turn": {"actions": ["create(name=\"Joker\")"], "action_info": [
+        {"head": "create", "values": ["Joker"], "correction_new": None,
+         "requested_slot": "that"}]},
+    "system_turn": {"action_info": [{"head": "ask_confirm",
+                                     "values": ["07:00"]}],
+                    "last_user_utterance": "Wake me at seven, please."},
+    "qc_eval": {"pairs": [{"utterance": "It's at 7:00.",
+                           "values": ["07:00"]}]},
+}
+
+
+@pytest.mark.parametrize("tag", sorted(PURE_REQUESTS))
+def test_pure_tag_answer_ignores_seed_and_attempt(tag, monkeypatch):
+    """A tag whose answer does not draw answers every seed and attempt
+    alike, without a request digest."""
+
+    def no_digest(self, request):
+        raise AssertionError(f"{request.tag} took a request digest")
+
+    monkeypatch.setattr(MockBackend, "_rng", no_digest)
+    answers = {
+        MockBackend(seed=seed).complete(req(tag=tag, metadata={
+            **PURE_REQUESTS[tag], "attempt": attempt}))
+        for seed in (0, 7) for attempt in (0, 1)
+    }
+    assert len(answers) == 1, answers
+
+
 # ids that vary the mock's RNG and are no content of the prompt
-RNG_ONLY = {"attempt", "dialog", "datapoint"}
+RNG_ONLY = {"attempt", "dialog"}
 
 # (tag, path) -> why the prompt does not show what the mock reads there; a
 # path covers the paths below it
@@ -177,26 +241,25 @@ def _gap(tag: str, path: str) -> tuple:
 
 
 def test_mock_reads_only_what_the_prompt_says(tmp_path, monkeypatch):
-    """A 50-dialog seed-7 mock run: every metadata value a handler reads
-    appears in its prompt, except the known gaps, each of which still shows
-    up. The RNG digest hashes the untracked metadata, so the run is the
-    usual one."""
+    """A 50-dialog seed-7 mock run that requests every tag: every metadata
+    value a handler reads appears in its prompt, except the known gaps, each
+    of which still shows up. The RNG digest of a drawing tag hashes the
+    untracked metadata, so the run is the usual one."""
     requests, gaps = Counter(), Counter()
 
     def complete(self, request):
         reads = []
-        text = mock._MOCK_HANDLERS[request.tag](
-            self._rng(request), _Tracked(request.metadata or {}, "", reads))
+        draws, handler = mock._MOCK_HANDLERS[request.tag]
+        meta = _Tracked(request.metadata or {}, "", reads)
+        text = handler(self._rng(request), meta) if draws else handler(meta)
         prompt = "\n".join(content for _, content in request.messages)
         requests[request.tag] += 1
         gaps.update({_gap(request.tag, p) for p in _unshown(reads, prompt)})
         return text
 
     monkeypatch.setattr(MockBackend, "_complete", complete)
-    cfg = PipelineConfig(seed=7, dialog_count=50, max_concurrency=1,
-                         output_dir=str(tmp_path))
-    for stage in cli._STAGES.values():
-        stage(cfg)
+    _stage_sequence(tmp_path, 50)
+    assert set(requests) == set(mock._MOCK_HANDLERS)
     found = {gap: f"{n} of {requests[gap[0]]} requests"
              for gap, n in sorted(gaps.items())}
     assert set(found) == set(KNOWN_GAPS), found

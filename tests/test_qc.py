@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from todgen import cli, qc
 from todgen.cli import make_backend
 from todgen.config import PipelineConfig
 from todgen.context import generate_contexts, sample_current_time
@@ -24,6 +25,7 @@ from todgen.realizer import realize_dialog
 from todgen.rng import derive_rng
 from todgen.sampler import sample_specimen
 from todgen.schema import load_schema_set
+from todgen.values import WEEKDAYS
 
 CFG = PipelineConfig(seed=23, persona_pool_size=2)
 SCHEMAS = load_schema_set(CFG.schema_manifest_path)
@@ -116,6 +118,56 @@ class TestCheckUnformatted:
         )
         verdict, _ = check_unformatted(ok)
         assert verdict == "pass"
+
+
+def _unguarded_check_unformatted(dp):
+    """The reference for ``check_unformatted``: all four patterns on every
+    utterance, with no substring guard."""
+    details = []
+    for i, label, text in qc._iter_utterances(dp):
+        if qc._ISO_DATETIME.search(text):
+            details.append(f"turn {i} ({label}): ISO datetime "
+                           f"{qc._ISO_DATETIME.search(text).group(0)!r}")
+            continue
+        for m in qc._ISO_DATE.finditer(text):
+            prefix = text[max(0, m.start() - 4):m.start()]
+            if not any(prefix.startswith(w) for w in WEEKDAYS):
+                details.append(f"turn {i} ({label}): bare ISO date "
+                               f"{m.group(1)!r}")
+                break
+        if qc._PLACEHOLDER.search(text):
+            details.append(f"turn {i} ({label}): unresolved placeholder "
+                           f"{qc._PLACEHOLDER.search(text).group(0)!r}")
+        if qc._MR_FRAGMENT.search(text):
+            details.append(f"turn {i} ({label}): raw action fragment "
+                           f"{qc._MR_FRAGMENT.search(text).group(0)!r}")
+    return ("fail" if details else "pass"), details
+
+
+LEAKS = {
+    "ISO datetime": " At Sun 2026-03-01 17:30.",
+    "bare ISO date": " See you on 2026-03-01.",
+    "unresolved placeholder": " {{ user_name }}",
+    "raw action fragment": ' I ran create(name="Run").',
+}
+
+
+def test_guarded_leak_scan_matches_the_unguarded_one(tmp_path):
+    """On a 200-dialog seed-7 mock run, and on one seeded leak of each kind,
+    the guards change no verdict and no detail."""
+    cfg = PipelineConfig(seed=7, dialog_count=200, max_concurrency=1,
+                         output_dir=str(tmp_path))
+    cli.stage_personas(cfg)
+    cli.stage_contexts(cfg)
+    cli.stage_plots(cfg)
+    dps = cli.stage_realize(cfg)
+    for dp in dps:
+        assert check_unformatted(dp) == _unguarded_check_unformatted(dp)
+    for kind, leak in LEAKS.items():
+        bad = _mutate_utterance(dps[0], lambda t: t + leak)
+        verdict, details = check_unformatted(bad)
+        assert (verdict, details) == _unguarded_check_unformatted(bad)
+        assert verdict == "fail" and any(kind in d for d in details), details
 
 
 class TestValueVariants:

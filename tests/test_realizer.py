@@ -223,16 +223,16 @@ class TestRealizeUserTurn:
         plot = ticket_plot()
         turn = plot.turns[0]
         utterance = realize_user_turn(
-            turn, printed(turn), "", PERSONA, {}, "movie", LLM, CFG
+            turn, printed(turn), "", PERSONA, "{}", "movie", LLM, CFG
         )
         assert "Joker" in utterance and "Regal Cinemas" in utterance
 
     def test_deterministic(self):
         plot = ticket_plot()
         turn = plot.turns[0]
-        a = realize_user_turn(turn, printed(turn), "", PERSONA, {}, "movie",
+        a = realize_user_turn(turn, printed(turn), "", PERSONA, "{}", "movie",
                               LLM, CFG)
-        b = realize_user_turn(turn, printed(turn), "", PERSONA, {}, "movie",
+        b = realize_user_turn(turn, printed(turn), "", PERSONA, "{}", "movie",
                               make_backend(CFG.user_backend, CFG.seed), CFG)
         assert a == b
 
@@ -243,7 +243,7 @@ class TestRealizeUserTurn:
         )
         turn = plot.turns[0]
         utterance = realize_user_turn(
-            turn, printed(turn), "", PERSONA, {}, "movie", backend, CFG
+            turn, printed(turn), "", PERSONA, "{}", "movie", backend, CFG
         )
         assert utterance == "Two tickets."
         assert backend.calls == 2
@@ -253,14 +253,14 @@ class TestRealizeUserTurn:
         backend = ScriptedBackend(['{"actions": []}'])  # never has a message
         with pytest.raises(RealizerError, match="no 'message' key"):
             realize_user_turn(plot.turns[0], printed(plot.turns[0]), "",
-                              PERSONA, {}, "movie", backend, CFG)
+                              PERSONA, "{}", "movie", backend, CFG)
         assert backend.calls == CFG.content_retries
 
     def test_rejects_system_turn(self):
         plot = ticket_plot()
         with pytest.raises(RealizerError, match="needs a user turn"):
             realize_user_turn(plot.turns[1], printed(plot.turns[1]), "",
-                              PERSONA, {}, "movie", LLM, CFG)
+                              PERSONA, "{}", "movie", LLM, CFG)
 
 
 class TestRealizeSystemTurn:

@@ -8,6 +8,11 @@ under ``sys.setprofile`` and ``threading.setprofile``, and counts each call
 into a function whose code lives in ``src/todgen`` and whose name does not
 start with ``<`` (comprehensions, lambdas and module bodies are left out).
 
+The count does not see work done inside C or the stdlib (JSON encoding,
+hashing, RNG seeding, regex scans): skipping the mock's request digest for the
+tags whose answers do not draw cut about a fifth of a mock run's CPU, while
+the count fell 0.5%.
+
 The test fails above the pin, and more than 2% below it, so a change that
 saves work lowers the pin in the same commit and says so. To print the count:
 
@@ -25,7 +30,7 @@ from pathlib import Path
 import pytest
 
 DIALOGS = 50
-PINS = {(3, 11): 1146.34}  # call events per dialog
+PINS = {(3, 11): 1134.46}  # call events per dialog
 SLACK = 0.02
 
 
